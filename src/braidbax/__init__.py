@@ -16,179 +16,21 @@ not a numerical approximation.  The submodules layer as follows:
 - verify, cli: the end-to-end suite and its command-line front end
 """
 
-from .cases import (
-    BuiltinCase,
-    builtin_case,
-    s03_case,
-    s03_constant_projectors,
-    s14_case,
-    s14_constant_projectors,
-)
-from .funceq import (
-    NonSquare,
-    a_eval_general,
-    a_from_c,
-    a_half_closed,
-    a_law_residual,
-    c_eval,
-    c_from_a,
-    c_law_residual,
-    f_aux,
-    reparametrize_check,
-)
-from .linalg import (
-    DimensionMismatch,
-    SingularMatrix,
-    SquareMatrix,
-    UnivariatePoly,
-    braid,
-    builtin,
-    char_poly,
-    matrix_from_obj,
-    matrix_to_obj,
-    minimal_polynomial,
-    rref,
-)
-from .ncplane import (
-    ConsistencyFailure,
-    RelationSet,
-    WZConfig,
-    derive_relations,
-    mixed_rules_s03,
-    mixed_rules_s14,
-    s03_generator_transform,
-    s03_plane,
-    s14_plane,
-    transform_quadratic,
-    wz_build,
-)
-from .parser import ParseError, parse
-from .scalar import (
-    GaussRational,
-    PoleError,
-    Scalar,
-    SymbolTable,
-    UnknownSymbol,
-    sqrt_scalar,
-)
-from .spectral import (
-    IrreducibleOverSearchSpace,
-    NotDiagonal,
-    ProjectorSet,
-    RepeatedRoots,
-    check_diagonalizer,
-    eigenvectors_from_projectors,
-    find_roots,
-    lagrange_projectors,
-)
-from .verify import Report, Section, run_all
-from .ybe import (
-    CombinationBasis,
-    ResidualNotInSpan,
-    TensorOps,
-    braid_ybe_residual,
-    combination_basis,
-    embed12,
-    embed23,
-    expand_pybe_coefficients,
-    expansion_identity_residual,
-    power_reduction_residual,
-    pybe_coefficient_formulas,
-    reduction_identity_residuals,
-    s03_generic_residual,
-    s03_member,
-    s03_member_generic,
-    s03_pybe_residual,
-    s03_reduction_residual,
-    s14_chain,
-    s14_inverse_closed,
-    s14_member,
-    s14_member_q,
-    s14_pybe_residual,
-    verify_frt_relations,
-)
+from . import cases, funceq, linalg, ncplane, parser, scalar, spectral, verify, ybe
+from .cases import *
+from .funceq import *
+from .linalg import *
+from .ncplane import *
+from .parser import *
+from .scalar import *
+from .spectral import *
+from .verify import *
+from .ybe import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BuiltinCase",
-    "CombinationBasis",
-    "ConsistencyFailure",
-    "DimensionMismatch",
-    "GaussRational",
-    "IrreducibleOverSearchSpace",
-    "NonSquare",
-    "NotDiagonal",
-    "ParseError",
-    "PoleError",
-    "ProjectorSet",
-    "RelationSet",
-    "RepeatedRoots",
-    "Report",
-    "ResidualNotInSpan",
-    "Scalar",
-    "Section",
-    "SingularMatrix",
-    "SquareMatrix",
-    "SymbolTable",
-    "TensorOps",
-    "UnivariatePoly",
-    "UnknownSymbol",
-    "WZConfig",
-    "a_eval_general",
-    "a_from_c",
-    "a_half_closed",
-    "a_law_residual",
-    "braid",
-    "braid_ybe_residual",
-    "builtin",
-    "builtin_case",
-    "c_eval",
-    "c_from_a",
-    "c_law_residual",
-    "char_poly",
-    "check_diagonalizer",
-    "combination_basis",
-    "derive_relations",
-    "eigenvectors_from_projectors",
-    "embed12",
-    "embed23",
-    "expand_pybe_coefficients",
-    "expansion_identity_residual",
-    "f_aux",
-    "find_roots",
-    "lagrange_projectors",
-    "matrix_from_obj",
-    "matrix_to_obj",
-    "minimal_polynomial",
-    "mixed_rules_s03",
-    "mixed_rules_s14",
-    "parse",
-    "power_reduction_residual",
-    "pybe_coefficient_formulas",
-    "reduction_identity_residuals",
-    "reparametrize_check",
-    "rref",
-    "run_all",
-    "s03_case",
-    "s03_constant_projectors",
-    "s03_generator_transform",
-    "s03_generic_residual",
-    "s03_member",
-    "s03_member_generic",
-    "s03_plane",
-    "s03_pybe_residual",
-    "s03_reduction_residual",
-    "s14_case",
-    "s14_chain",
-    "s14_constant_projectors",
-    "s14_inverse_closed",
-    "s14_member",
-    "s14_member_q",
-    "s14_plane",
-    "s14_pybe_residual",
-    "sqrt_scalar",
-    "transform_quadratic",
-    "verify_frt_relations",
-    "wz_build",
-]
+__all__ = sorted(
+    name
+    for module in (cases, funceq, linalg, ncplane, parser, scalar, spectral, verify, ybe)
+    for name in module.__all__
+)

@@ -40,9 +40,16 @@ class BuiltinCase:
     projectors: Dict[str, SquareMatrix]
 
 
-def s03_constant_projectors(table: SymbolTable) -> Dict[str, SquareMatrix]:
-    """The two braided-matrix projectors (I +- i(rhat - I))/2, as constants."""
-    rhat = braid(builtin("s03_r", table))
+def s03_constant_projectors(
+    table: SymbolTable, rhat: Optional[SquareMatrix] = None
+) -> Dict[str, SquareMatrix]:
+    """The two braided-matrix projectors (I +- i(rhat - I))/2.
+
+    rhat defaults to the braided built-in, which makes them constants;
+    the self-check passes a corrupted one to see its projectors move.
+    """
+    if rhat is None:
+        rhat = braid(builtin("s03_r", table))
     eye = SquareMatrix.identity(table, 4)
     half = table.const(Fraction(1, 2))
     i = table.i()

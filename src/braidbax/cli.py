@@ -17,19 +17,20 @@ import argparse
 import json
 import re
 import sys
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .cases import builtin_case
 from .funceq import c_law_residual, reparametrize_check
 from .linalg import (
     SquareMatrix,
+    _row_space,
     matrix_from_obj,
     matrix_to_obj,
     minimal_polynomial,
-    rref,
 )
 from .ncplane import (
     ConsistencyFailure,
+    _published_blocks,
     mixed_rules_s03,
     mixed_rules_s14,
     s03_plane,
@@ -43,7 +44,7 @@ from .spectral import (
     find_roots,
     lagrange_projectors,
 )
-from .verify import run_all
+from .verify import Check, CheckFailed, Report, run_checks, section_checks
 from .ybe import (
     TensorOps,
     braid_ybe_residual,
@@ -56,6 +57,11 @@ from .ybe import (
 )
 
 __all__ = ["main"]
+
+# What each verb hands to main: header lines, extra JSON fields, checks.
+Verb = Tuple[List[str], dict, List[Check]]
+
+_COEFFICIENTS = ("a1", "a2", "b1", "b2")
 
 
 class InputError(Exception):
@@ -95,7 +101,7 @@ def _load_matrix(path: str) -> SquareMatrix:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return matrix_from_obj(obj)
-    except (KeyError, TypeError, ValueError, ParseError, UnknownSymbol) as exc:
+    except (KeyError, TypeError, ValueError, ParseError, UnknownSymbol, PoleError) as exc:
         raise InputError(f"{path} does not describe a matrix: {exc}") from exc
 
 
@@ -108,23 +114,25 @@ def _target_kind(target: str) -> Tuple[str, str]:
     raise UsageError(f"target must be s03, s14, or file:PATH, not {target!r}")
 
 
-def _section(name: str, holds: bool, detail: str) -> dict:
-    return {"name": name, "holds": holds, "detail": detail}
+def _claim(name: str, predicate: Callable[[], bool], detail: str) -> Check:
+    """A check whose detail text is the same whether it holds or fails."""
+
+    def run() -> str:
+        if not predicate():
+            raise CheckFailed(detail)
+        return detail
+
+    return name, run
 
 
-def _matrix_lines(obj: dict, indent: str = "  ") -> List[str]:
-    return [indent + "[" + ", ".join(row) + "]" for row in obj["entries"]]
-
-
-def _rows_of(matrix: SquareMatrix) -> tuple:
-    reduced, pivots = rref([list(row) for row in matrix.rows])
-    return tuple(tuple(reduced[k]) for k in range(len(pivots)))
+def _matrix_lines(obj: dict) -> List[str]:
+    return ["  [" + ", ".join(row) + "]" for row in obj["entries"]]
 
 
 # ------------------------------------------------------------------ analyze
 
 
-def _run_analyze(args) -> Tuple[dict, List[str]]:
+def _run_analyze(args) -> Verb:
     kind, name = _target_kind(args.target)
     if kind == "builtin":
         case = builtin_case(name)
@@ -140,51 +148,40 @@ def _run_analyze(args) -> Tuple[dict, List[str]]:
         raise InputError(
             f"spectrum not found: no searched root annihilates {exc.poly}"
         ) from exc
-
-    sections = []
     try:
         ps = lagrange_projectors(matrix, roots)
     except (RepeatedRoots, ValueError) as exc:
         raise InputError(f"matrix is not diagonalisable this way: {exc}") from exc
 
     count = len(ps.items)
-    sections.append(_section(
-        "projectors", True,
-        f"spectral resolution into {count} orthogonal idempotent{'s' if count != 1 else ''}",
-    ))
-    sections.append(_section(
-        "spectral-recompose", ps.recompose() == matrix,
-        "eigenvalue-weighted projector sum restores the matrix",
-    ))
+    resolution = f"spectral resolution into {count} orthogonal idempotent{'s' if count != 1 else ''}"
+    checks = [
+        ("projectors", lambda: resolution),
+        _claim("spectral-recompose", lambda: ps.recompose() == matrix,
+               "eigenvalue-weighted projector sum restores the matrix"),
+    ]
     if matrix.n == 4:
-        sections.append(_section(
-            "constant-ybe", braid_ybe_residual(matrix).is_zero(),
-            "braid relation residual on the triple tensor space",
-        ))
+        checks.append(_claim("constant-ybe", lambda: braid_ybe_residual(matrix).is_zero(),
+                             "braid relation residual on the triple tensor space"))
     else:
-        sections.append(_section(
-            "constant-ybe", True,
-            f"skipped: braid relation needs a 4x4 matrix, this one is {matrix.n}x{matrix.n}",
-        ))
+        skipped = f"skipped: braid relation needs a 4x4 matrix, this one is {matrix.n}x{matrix.n}"
+        checks.append(("constant-ybe", lambda: skipped))
     if case is not None:
-        published = (
-            poly == case.min_poly
-            and len(ps.items) == len(case.pairing)
-            and all(
-                eig == want and proj == case.projectors[label]
-                for (eig, proj), (want, label) in zip(ps.items, case.pairing)
-            )
-        )
-        sections.append(_section(
-            "published-data", published,
+        checks.append(_claim(
+            "published-data",
+            lambda: (
+                poly == case.min_poly
+                and len(ps.items) == len(case.pairing)
+                and all(
+                    eig == want and proj == case.projectors[label]
+                    for (eig, proj), (want, label) in zip(ps.items, case.pairing)
+                )
+            ),
             "minimal polynomial, eigenvalue order, and parameter-free projectors match the case constants",
         ))
 
-    report = {
-        "verb": "analyze",
+    fields = {
         "target": args.target,
-        "holds": all(s["holds"] for s in sections),
-        "sections": sections,
         "matrix": matrix_to_obj(matrix),
         "minimal_polynomial": str(poly),
         "eigenvalues": [str(eig) for eig, _ in ps.items],
@@ -193,22 +190,19 @@ def _run_analyze(args) -> Tuple[dict, List[str]]:
             for eig, proj in ps.items
         ],
     }
-
-    lines = [f"analyze {args.target}"]
-    lines.append("matrix:")
-    lines.extend(_matrix_lines(report["matrix"]))
-    lines.append(f"minimal polynomial: {report['minimal_polynomial']}")
-    lines.append("eigenvalues: " + ", ".join(report["eigenvalues"]))
-    for item in report["projectors"]:
-        lines.append(f"projector at {item['eigenvalue']}:")
-        lines.extend(_matrix_lines(item["matrix"]))
-    return report, lines
+    header = [f"analyze {args.target}", "matrix:", *_matrix_lines(fields["matrix"])]
+    header.append(f"minimal polynomial: {fields['minimal_polynomial']}")
+    header.append("eigenvalues: " + ", ".join(fields["eigenvalues"]))
+    for item in fields["projectors"]:
+        header.append(f"projector at {item['eigenvalue']}:")
+        header.extend(_matrix_lines(item["matrix"]))
+    return header, fields, checks
 
 
 # ---------------------------------------------------------------- baxterize
 
 
-def _run_baxterize(args) -> Tuple[dict, List[str]]:
+def _run_baxterize(args) -> Verb:
     kind, name = _target_kind(args.target)
     if kind == "file":
         raise UsageError("baxterize works on the built-in cases only")
@@ -218,190 +212,137 @@ def _run_baxterize(args) -> Tuple[dict, List[str]]:
         return _baxterize_s03(args)
     if args.p is not None:
         raise UsageError("--p applies to the s03 target only")
-    return _baxterize_s14(args)
+    if args.triplet is not None:
+        return _baxterize_s14_triplet(args.triplet)
+    return _baxterize_s14_free()
 
 
-def _baxterize_s03(args) -> Tuple[dict, List[str]]:
+def _baxterize_s03(args) -> Verb:
     p = -2 if args.p is None else args.p
-    table = SymbolTable(["x", "y"])
-    x, y = table.symbols("x", "y")
-    sections = [
-        _section(
-            "parameterised-braid", s03_pybe_residual(p, x, y).is_zero(),
-            f"triple-product residual at exponent {p}, symbolically in x and y",
-        ),
-        _section(
-            "coefficient-law", c_law_residual(p, x, y).is_zero(),
-            "cx + cy + 2*cx*cy = cxy for the power-law coefficients",
-        ),
+    x, y = SymbolTable(["x", "y"]).symbols("x", "y")
+    checks = [
+        _claim("parameterised-braid", lambda: s03_pybe_residual(p, x, y).is_zero(),
+               f"triple-product residual at exponent {p}, symbolically in x and y"),
+        _claim("coefficient-law", lambda: c_law_residual(p, x, y).is_zero(),
+               "cx + cy + 2*cx*cy = cxy for the power-law coefficients"),
     ]
     if p % 2 == 0:
-        sections.append(_section(
-            "reparametrised-branch", reparametrize_check(p),
+        checks.append(_claim(
+            "reparametrised-branch", lambda: reparametrize_check(p),
             "square-root branch in the substituted variable recovers the same coefficients",
         ))
-    report = {
-        "verb": "baxterize",
-        "target": "s03",
-        "p": p,
-        "holds": all(s["holds"] for s in sections),
-        "sections": sections,
+    return [f"baxterize s03 (p = {p})"], {"target": "s03", "p": p}, checks
+
+
+def _baxterize_s14_triplet(triplet: str) -> Verb:
+    texts = [piece.strip() for piece in triplet.split(",")]
+    if len(texts) != 6:
+        raise UsageError("--triplet needs six comma-separated expressions: v,w for each slot")
+    values = _parse_parameters(texts)
+    pairs = (values[0], values[1]), (values[2], values[3]), (values[4], values[5])
+    coeffs = expand_pybe_coefficients(*pairs)
+    closed = pybe_coefficient_formulas(*pairs)
+    checks = [
+        _claim("expansion-coefficients",
+               lambda: all(coeffs[k] == closed[k] for k in _COEFFICIENTS),
+               "expanded residual coefficients equal their closed forms"),
+        _claim("residual-zero", lambda: all(coeffs[k].is_zero() for k in _COEFFICIENTS),
+               "the three supplied members satisfy the parameterised braid equation"),
+    ]
+    fields = {
+        "target": "s14",
+        "triplet": [[str(v), str(w)] for v, w in pairs],
+        "coefficients": {k: str(coeffs[k]) for k in _COEFFICIENTS},
     }
-    return report, [f"baxterize s03 (p = {p})"]
+    header = ["baxterize s14", "coefficients:"]
+    header.extend(f"  {k} = {fields['coefficients'][k]}" for k in _COEFFICIENTS)
+    return header, fields, checks
 
 
-def _baxterize_s14(args) -> Tuple[dict, List[str]]:
-    report = {"verb": "baxterize", "target": "s14"}
-    lines = ["baxterize s14"]
-    if args.triplet is not None:
-        texts = [piece.strip() for piece in args.triplet.split(",")]
-        if len(texts) != 6:
-            raise UsageError(
-                "--triplet needs six comma-separated expressions: v,w for each slot"
-            )
-        values = _parse_parameters(texts)
-        first, middle, last = (
-            (values[0], values[1]), (values[2], values[3]), (values[4], values[5]),
-        )
-        coeffs = expand_pybe_coefficients(first, middle, last)
-        closed = pybe_coefficient_formulas(first, middle, last)
-        sections = [
-            _section(
-                "expansion-coefficients",
-                all(coeffs[k] == closed[k] for k in ("a1", "a2", "b1", "b2")),
-                "expanded residual coefficients equal their closed forms",
-            ),
-            _section(
-                "residual-zero",
-                all(coeffs[k].is_zero() for k in ("a1", "a2", "b1", "b2")),
-                "the three supplied members satisfy the parameterised braid equation",
-            ),
-        ]
-        report["triplet"] = [[str(v), str(w)] for v, w in (first, middle, last)]
-        report["coefficients"] = {k: str(coeffs[k]) for k in ("a1", "a2", "b1", "b2")}
-        lines.append("coefficients:")
-        for key in ("a1", "a2", "b1", "b2"):
-            lines.append(f"  {key} = {report['coefficients'][key]}")
-    else:
-        table = SymbolTable(["q", "v", "w", "vp", "wp", "vpp", "wpp"])
-        q, v, w, vp, wp, vpp, wpp = table.symbols(
-            "q", "v", "w", "vp", "wp", "vpp", "wpp"
-        )
-        two = table.const(2)
-        residual = s14_pybe_residual((v, -two - v), (vp, -two - vp), (vpp, -two - vpp))
-        coeffs = expand_pybe_coefficients((v, w), (vp, wp), (vpp, wpp))
-        closed = pybe_coefficient_formulas((v, w), (vp, wp), (vpp, wpp))
-        sections = [
-            _section(
-                "triplet-free-braid", residual.is_zero(),
-                "three independent members with parameter pairs summing to -2 satisfy the braid equation",
-            ),
-            _section(
-                "coefficient-formulas",
-                all(coeffs[k] == closed[k] for k in ("a1", "a2", "b1", "b2")),
-                "expanded residual coefficients equal their closed forms in six free parameters",
-            ),
-            _section(
-                "exchange-relations",
-                verify_frt_relations(TensorOps(table), s14_member_q(q)),
-                "corner projectors intertwine the braided members across adjacent slots",
-            ),
-        ]
-    report["sections"] = sections
-    report["holds"] = all(s["holds"] for s in sections)
-    return report, lines
+def _baxterize_s14_free() -> Verb:
+    table = SymbolTable(["q", "v", "w", "vp", "wp", "vpp", "wpp"])
+    q, v, w, vp, wp, vpp, wpp = table.symbols("q", "v", "w", "vp", "wp", "vpp", "wpp")
+    two = table.const(2)
+    pairs = (v, w), (vp, wp), (vpp, wpp)
+
+    def formulas_match() -> bool:
+        coeffs = expand_pybe_coefficients(*pairs)
+        closed = pybe_coefficient_formulas(*pairs)
+        return all(coeffs[k] == closed[k] for k in _COEFFICIENTS)
+
+    checks = [
+        _claim("triplet-free-braid",
+               lambda: s14_pybe_residual(
+                   (v, -two - v), (vp, -two - vp), (vpp, -two - vpp)).is_zero(),
+               "three independent members with parameter pairs summing to -2 satisfy the braid equation"),
+        _claim("coefficient-formulas", formulas_match,
+               "expanded residual coefficients equal their closed forms in six free parameters"),
+        _claim("exchange-relations",
+               lambda: verify_frt_relations(TensorOps(table), s14_member_q(q)),
+               "corner projectors intertwine the braided members across adjacent slots"),
+    ]
+    return ["baxterize s14"], {"target": "s14"}, checks
 
 
 # ------------------------------------------------------------------ ncplane
 
 
-def _run_ncplane(args) -> Tuple[dict, List[str]]:
+def _run_ncplane(args) -> Verb:
     kind, name = _target_kind(args.target)
     if kind == "file":
         raise UsageError("ncplane works on the built-in cases only")
     if name == "s03":
         if args.kplus is not None or args.kzero is not None:
             raise UsageError("--kplus/--kzero apply to the s14 target only")
-        text = "c" if args.c is None else args.c
-        (c,) = _parse_parameters([text])
+        (c,) = _parse_parameters(["c" if args.c is None else args.c])
         table = c.table
         builder = lambda: s03_plane(c)
         expected_mixed = mixed_rules_s03(c)
-        coord_rows = ((1, -1, 0, 0), (0, 0, 1, 1))
         parameters = {"c": str(c)}
     else:
         if args.c is not None:
             raise UsageError("--c applies to the s03 target only")
-        ptexts = [
+        kplus, kzero = _parse_parameters([
             "kplus" if args.kplus is None else args.kplus,
             "kzero" if args.kzero is None else args.kzero,
-        ]
-        kplus, kzero = _parse_parameters(ptexts)
+        ])
         table = kplus.table
         builder = lambda: s14_plane(kplus, kzero)
         expected_mixed = mixed_rules_s14(kplus, kzero)
-        coord_rows = ((1, 0, 0, -1),)
         parameters = {"kplus": str(kplus), "kzero": str(kzero)}
 
-    sections = []
+    fields = {"target": name, "parameters": parameters}
     try:
         relations = builder()
     except ConsistencyFailure as exc:
-        sections.append(_section(
-            "consistency", False, f"defining operators clash: witness {exc.witness}"
-        ))
-        report = {
-            "verb": "ncplane",
-            "target": name,
-            "parameters": parameters,
-            "holds": False,
-            "sections": sections,
-        }
-        return report, [f"ncplane {name}"]
+        clash = f"defining operators clash: witness {exc.witness}"
+        return [f"ncplane {name}"], fields, [_claim("consistency", lambda: False, clash)]
 
-    sections.append(_section(
-        "consistency", True, "coordinate and differential operators are compatible"
-    ))
-    expected_coord = tuple(
-        tuple(table.const(entry) for entry in row) for row in coord_rows
-    )
+    expected_coord, _ = _published_blocks(name, table)
     eye = SquareMatrix.identity(table, 4)
-    expected_diff = _rows_of(expected_mixed + eye)
-    sections.append(_section(
-        "coordinate-block", relations.coordinates == expected_coord,
-        "coordinate relations match the published block",
-    ))
-    sections.append(_section(
-        "differential-block", relations.differentials == expected_diff,
-        "differential relations match the published rewrite rules' annihilator",
-    ))
-    sections.append(_section(
-        "rewrite-rules", relations.mixed == expected_mixed,
-        "mixed coordinate-differential rules match the published matrix",
-    ))
-
-    report = {
-        "verb": "ncplane",
-        "target": name,
-        "parameters": parameters,
-        "holds": all(s["holds"] for s in sections),
-        "sections": sections,
-        "relations": relations.to_obj(),
-    }
-    lines = [f"ncplane {name} ({', '.join(f'{k} = {v}' for k, v in parameters.items())})"]
-    lines.append("relations:")
-    lines.extend("  " + text for text in relations.lines())
-    return report, lines
+    checks = [
+        ("consistency", lambda: "coordinate and differential operators are compatible"),
+        _claim("coordinate-block", lambda: relations.coordinates == expected_coord,
+               "coordinate relations match the published block"),
+        _claim("differential-block",
+               lambda: relations.differentials == _row_space(expected_mixed + eye),
+               "differential relations match the published rewrite rules' annihilator"),
+        _claim("rewrite-rules", lambda: relations.mixed == expected_mixed,
+               "mixed coordinate-differential rules match the published matrix"),
+    ]
+    fields["relations"] = relations.to_obj()
+    header = [f"ncplane {name} ({', '.join(f'{k} = {v}' for k, v in parameters.items())})"]
+    header.append("relations:")
+    header.extend("  " + text for text in relations.lines())
+    return header, fields, checks
 
 
 # --------------------------------------------------------------- verify-all
 
 
-def _run_verify_all(args) -> Tuple[dict, List[str]]:
-    outcome = run_all(seed=args.seed, fault=args.inject_fault)
-    report = {"verb": "verify-all", "target": None}
-    report.update(outcome.to_obj())
-    return report, [f"verify-all (seed = {args.seed})"]
+def _run_verify_all(args) -> Verb:
+    checks = section_checks(args.seed, args.inject_fault)
+    return [f"verify-all (seed = {args.seed})"], {"target": None, "seed": args.seed}, checks
 
 
 # ------------------------------------------------------------------ wiring
@@ -461,16 +402,11 @@ _RUNNERS = {
 }
 
 
-def _emit(report: dict, lines: List[str], args) -> None:
+def _emit(report: Report, args) -> None:
     if args.format == "json":
-        payload = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        payload = json.dumps(report.to_obj(), indent=2, sort_keys=True) + "\n"
     else:
-        body = list(lines)
-        for section in report["sections"]:
-            mark = "ok" if section["holds"] else "FAIL"
-            body.append(f"[{mark:>4}] {section['name']}: {section['detail']}")
-        body.append("overall: " + ("ok" if report["holds"] else "FAIL"))
-        payload = "\n".join(body) + "\n"
+        payload = "\n".join(report.lines()) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(payload)
@@ -485,15 +421,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        report, lines = _RUNNERS[args.verb](args)
+        header, fields, checks = _RUNNERS[args.verb](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    _emit(report, lines, args)
-    return 0 if report["holds"] else 1
+    report = Report(run_checks(checks), {"verb": args.verb, **fields}, tuple(header))
+    _emit(report, args)
+    return 0 if report.holds else 1
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _as_gauss
+from .scalar import Scalar, SymbolTable, _as_gauss, _join_terms
 
 __all__ = [
     "DimensionMismatch",
@@ -262,6 +262,12 @@ def rref(rows: Sequence[Sequence[Scalar]],
     return work, pivots
 
 
+def _row_space(matrix: SquareMatrix) -> tuple:
+    """The nonzero rows of rref(matrix): a canonical basis of its row space."""
+    reduced, pivots = rref(matrix.rows)
+    return tuple(tuple(row) for row in reduced[:len(pivots)])
+
+
 # -- univariate polynomials in an auxiliary variable t ----------------------
 
 
@@ -373,18 +379,9 @@ class UnivariatePoly:
         return total
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for d in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[d]
-            if c.is_zero():
-                continue
-            pieces.append(_poly_term_str(c, d))
-        out = pieces[0]
-        for p in pieces[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return _join_terms([_poly_term_str(self.coeffs[d], d)
+                            for d in range(len(self.coeffs) - 1, -1, -1)
+                            if not self.coeffs[d].is_zero()])
 
     def __repr__(self):
         return f"UnivariatePoly({self})"
@@ -471,6 +468,38 @@ def _det_poly(table: SymbolTable, cells) -> UnivariatePoly:
 # -- built-in matrices -------------------------------------------------------
 
 
+# Entries are ints, or names resolved against the table when the matrix
+# is built: the grids without a name never touch q or i.
+_BUILTIN_GRIDS = {
+    "s03_r": ((1, 0, 0, 1),
+              (0, 1, 1, 0),
+              (0, 1, -1, 0),
+              (-1, 0, 0, 1)),
+    "s14_r": ((0, 0, 0, "q"),
+              (0, 0, 1, 0),
+              (0, 1, 0, 0),
+              ("q", 0, 0, 0)),
+    "perm": ((1, 0, 0, 0),
+             (0, 0, 1, 0),
+             (0, 1, 0, 0),
+             (0, 0, 0, 1)),
+    "s03_m_diag": ((1, 0, 0, 1),
+                   (0, 1, -1, 0),
+                   (0, 1, 1, 0),
+                   (-1, 0, 0, 1)),
+    "s03_m_prime_unnorm": ((1, 0, 0, "i"),
+                           (0, 1, "-i", 0),
+                           (0, "-i", 1, 0),
+                           ("i", 0, 0, 1)),
+}
+
+_BUILTIN_NAMES = {
+    "q": lambda table: table.symbol("q"),
+    "i": lambda table: table.i(),
+    "-i": lambda table: -table.i(),
+}
+
+
 def builtin(name: str, table: SymbolTable) -> SquareMatrix:
     """One of the package's built-in 4x4 matrices, by case-insensitive name.
 
@@ -479,39 +508,11 @@ def builtin(name: str, table: SymbolTable) -> SquareMatrix:
     prefactor so that everything stays inside Q(i); conjugating with
     them therefore produces 2x the diagonal form.
     """
-    key = name.lower()
-    if key == "s03_r":
-        return SquareMatrix(table, [[1, 0, 0, 1],
-                                    [0, 1, 1, 0],
-                                    [0, 1, -1, 0],
-                                    [-1, 0, 0, 1]])
-    if key == "s14_r":
-        q = table.symbol("q")
-        z = table.zero()
-        one = table.one()
-        return SquareMatrix(table, [[z, z, z, q],
-                                    [z, z, one, z],
-                                    [z, one, z, z],
-                                    [q, z, z, z]])
-    if key == "perm":
-        return SquareMatrix(table, [[1, 0, 0, 0],
-                                    [0, 0, 1, 0],
-                                    [0, 1, 0, 0],
-                                    [0, 0, 0, 1]])
-    if key == "s03_m_diag":
-        return SquareMatrix(table, [[1, 0, 0, 1],
-                                    [0, 1, -1, 0],
-                                    [0, 1, 1, 0],
-                                    [-1, 0, 0, 1]])
-    if key == "s03_m_prime_unnorm":
-        i = table.i()
-        z = table.zero()
-        one = table.one()
-        return SquareMatrix(table, [[one, z, z, i],
-                                    [z, one, -i, z],
-                                    [z, -i, one, z],
-                                    [i, z, z, one]])
-    raise ValueError(f"unknown builtin matrix {name!r}")
+    grid = _BUILTIN_GRIDS.get(name.lower())
+    if grid is None:
+        raise ValueError(f"unknown builtin matrix {name!r}")
+    return SquareMatrix(table, [[_BUILTIN_NAMES[e](table) if isinstance(e, str) else e
+                                 for e in row] for row in grid])
 
 
 def braid(r: SquareMatrix) -> SquareMatrix:

@@ -17,11 +17,11 @@ derivations agree exactly when their canonical data agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 from .cases import s03_constant_projectors, s14_constant_projectors
-from .linalg import DimensionMismatch, SquareMatrix, rref
-from .scalar import Scalar, SymbolTable
+from .linalg import DimensionMismatch, SquareMatrix, _row_space
+from .scalar import Scalar, SymbolTable, _join_terms
 
 __all__ = [
     "ConsistencyFailure",
@@ -105,19 +105,9 @@ def _term_str(coeff: Scalar, monomial: str) -> str:
 
 
 def _combo_str(coeffs: Sequence[Scalar], monomials: Sequence[str]) -> str:
-    parts = []
-    for coeff, monomial in zip(coeffs, monomials):
-        if not coeff.is_zero():
-            parts.append(_term_str(coeff, monomial))
-    if not parts:
-        return "0"
-    out = parts[0]
-    for term in parts[1:]:
-        if term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out
+    return _join_terms([_term_str(coeff, monomial)
+                        for coeff, monomial in zip(coeffs, monomials)
+                        if not coeff.is_zero()])
 
 
 @dataclass(eq=True)
@@ -151,11 +141,6 @@ class RelationSet:
             "mixed": [[str(c) for c in row] for row in self.mixed.rows],
             "lines": self.lines(),
         }
-
-
-def _row_space(matrix: SquareMatrix) -> tuple:
-    reduced, pivots = rref([list(row) for row in matrix.rows])
-    return tuple(tuple(reduced[k]) for k in range(len(pivots)))
 
 
 def derive_relations(
@@ -213,25 +198,49 @@ def s03_generator_transform(table: SymbolTable) -> SquareMatrix:
     return SquareMatrix(table, [[1, i], [1, -i]])
 
 
-def s03_plane(c: Scalar) -> RelationSet:
+# The published coordinate and differential blocks of the two planes,
+# echelon rows over x1*x1, x1*x2, x2*x1, x2*x2 (resp. xi1*xi1, ...).
+_PUBLISHED_BLOCKS = {
+    "s03": (((1, -1, 0, 0), (0, 0, 1, 1)),
+            ((1, 1, 0, 0), (0, 0, 1, -1))),
+    "s14": (((1, 0, 0, -1),),
+            ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0))),
+}
+
+
+def _published_blocks(case: str, table: SymbolTable) -> Tuple[tuple, tuple]:
+    """(coordinates, differentials) as a plane of the case must print them."""
+    return tuple(tuple(tuple(table.const(e) for e in row) for row in block)
+                 for block in _PUBLISHED_BLOCKS[case])
+
+
+def s03_plane(c: Scalar, rhat: Optional[SquareMatrix] = None) -> RelationSet:
     """Relations of the s03 plane with parameter c, in mixed generators.
 
     The diff shift is 2c times the plus projector: the factor 2 is what
     the displayed rules require once the generator mix is applied, and
-    it keeps every coefficient in the rationals extended by c.
+    it keeps every coefficient in the rationals extended by c.  The
+    projectors come from rhat, the braided built-in by default.
     """
     table = c.table
-    projectors = s03_constant_projectors(table)
+    projectors = s03_constant_projectors(table, rhat)
     transform = s03_generator_transform(table)
     cfg = WZConfig(coord="minus", diff=(("plus", 2 * c),), transform=transform)
     p, q = wz_build(projectors, cfg)
     return derive_relations(p, q, transform)
 
 
-def s14_plane(kplus: Scalar, kzero: Scalar) -> RelationSet:
-    """Relations of the two-parameter s14 plane, in the original generators."""
+def s14_plane(
+    kplus: Scalar, kzero: Scalar, plus: Optional[SquareMatrix] = None
+) -> RelationSet:
+    """Relations of the two-parameter s14 plane, in the original generators.
+
+    plus replaces the constant plus projector when given.
+    """
     table = kplus.table
     projectors = s14_constant_projectors(table)
+    if plus is not None:
+        projectors["plus"] = plus
     cfg = WZConfig(coord="minus", diff=(("plus", 2 * kplus), ("zero", kzero)))
     p, q = wz_build(projectors, cfg)
     return derive_relations(p, q)

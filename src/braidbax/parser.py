@@ -14,6 +14,10 @@ so '^' binds tighter than unary minus, which binds tighter than '*' and
 left.  The name 'i' always denotes the imaginary unit; any other name
 must be declared by the symbol table.  Everything str(Scalar) emits
 parses back to an identical stored value.
+
+Parentheses and unary minus nest at most MAX_DEPTH deep, which keeps
+the recursion far inside the interpreter's limit and far above the few
+levels str(Scalar) prints.
 """
 
 from __future__ import annotations
@@ -32,6 +36,8 @@ class ParseError(Exception):
         super().__init__(f"{message} (at position {position})")
         self.position = position
 
+
+MAX_DEPTH = 100
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])")
 
@@ -53,11 +59,17 @@ def _tokenize(text: str):
 
 
 class _Cursor:
-    __slots__ = ("toks", "k")
+    __slots__ = ("toks", "k", "depth")
 
     def __init__(self, toks):
         self.toks = toks
         self.k = 0
+        self.depth = 0
+
+    def descend(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", pos)
 
     def current(self):
         return self.toks[self.k]
@@ -116,9 +128,12 @@ def _term(cur: _Cursor, table: SymbolTable) -> Scalar:
 
 
 def _unary(cur: _Cursor, table: SymbolTable) -> Scalar:
-    if cur.take_op("-"):
-        return -_unary(cur, table)
-    return _power(cur, table)
+    if not cur.take_op("-"):
+        return _power(cur, table)
+    cur.descend(cur.toks[cur.k - 1][2])
+    value = -_unary(cur, table)
+    cur.depth -= 1
+    return value
 
 
 def _power(cur: _Cursor, table: SymbolTable) -> Scalar:
@@ -157,7 +172,9 @@ def _atom(cur: _Cursor, table: SymbolTable) -> Scalar:
         return table.symbol(text)
     if kind == "op" and text == "(":
         cur.advance()
+        cur.descend(pos)
         value = _expr(cur, table)
         cur.expect_op(")")
+        cur.depth -= 1
         return value
     raise ParseError("expected a value", pos)

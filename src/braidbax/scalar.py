@@ -26,7 +26,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
+
+__all__ = ["GaussRational", "PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
 
 
 class UnknownSymbol(Exception):
@@ -655,14 +657,18 @@ def _term_str(names, exps, z: GaussRational) -> str:
     return f"({_mixed_str(z)})*{mono}"
 
 
-def _poly_str(names, poly) -> str:
-    if not poly:
+def _join_terms(pieces: Sequence[str]) -> str:
+    """Signed term texts as one sum, a leading '-' becoming ' - '; '0' if none."""
+    if not pieces:
         return "0"
-    pieces = [_term_str(names, e, poly[e]) for e in sorted(poly, reverse=True)]
     out = pieces[0]
     for p in pieces[1:]:
         out += " - " + p[1:] if p.startswith("-") else " + " + p
     return out
+
+
+def _poly_str(names, poly) -> str:
+    return _join_terms([_term_str(names, e, poly[e]) for e in sorted(poly, reverse=True)])
 
 
 def _is_bare_mixed(poly) -> bool:

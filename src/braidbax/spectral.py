@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import SquareMatrix, UnivariatePoly, rref
+from .linalg import SquareMatrix, UnivariatePoly, _row_space
 from .scalar import Scalar, sqrt_scalar
 
 __all__ = [
@@ -196,12 +196,7 @@ def eigenvectors_from_projectors(ps: ProjectorSet):
     The basis is the set of nonzero rows of the reduced row echelon form
     of the transposed projector, so it is deterministic.
     """
-    out = []
-    for eig, proj in ps.items:
-        cols = [list(col) for col in zip(*proj.rows)]
-        reduced, pivots = rref(cols)
-        out.append((eig, [tuple(row) for row in reduced[:len(pivots)]]))
-    return out
+    return [(eig, list(_row_space(proj.transpose()))) for eig, proj in ps.items]
 
 
 def check_diagonalizer(d: SquareMatrix, a: SquareMatrix,

@@ -1,9 +1,11 @@
 """End-to-end verification: every published claim, one section per theme.
 
-run_all executes nine independent sections and reports a holds/detail
-pair per section, so a regression anywhere in the package surfaces as a
-named failure rather than a stack trace.  Sections build their own
-symbol tables; nothing is shared between them.
+A check is a (name, run) pair: run() returns its detail text or raises
+CheckFailed.  run_checks times each check and turns it into a Section,
+so a regression anywhere in the package surfaces as a named failure
+rather than a stack trace.  A Report renders the sections as text or
+JSON; the CLI verbs and run_all share both.  run_all executes nine
+independent sections, each building its own symbol tables.
 
 The fault argument deliberately corrupts one of the two built-in
 matrices (and, for the second case, the projector constants used by the
@@ -14,12 +16,13 @@ exactly the sections that depend on the corrupted case.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
 from .cases import s03_constant_projectors, s14_case, s14_constant_projectors
 from .linalg import (
@@ -31,14 +34,11 @@ from .linalg import (
     minimal_polynomial,
 )
 from .ncplane import (
-    WZConfig,
-    derive_relations,
+    _published_blocks,
     mixed_rules_s03,
     mixed_rules_s14,
-    s03_generator_transform,
     s03_plane,
     s14_plane,
-    wz_build,
 )
 from .parser import parse
 from .scalar import Scalar, SymbolTable
@@ -70,18 +70,21 @@ from .ybe import (
     verify_frt_relations,
 )
 
-__all__ = ["CheckFailed", "Report", "Section", "run_all"]
+__all__ = ["Report", "Section", "run_all"]
 
 FAULT_TARGETS = ("s03", "s14")
 
 
 class CheckFailed(Exception):
-    """A verification section found a concrete mismatch."""
+    """A check found a concrete mismatch."""
 
 
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise CheckFailed(message)
+
+
+Check = Tuple[str, Callable[[], str]]
 
 
 @dataclass(frozen=True)
@@ -92,10 +95,35 @@ class Section:
     elapsed: float
 
 
+def run_checks(checks: Iterable[Check]) -> Tuple[Section, ...]:
+    """Run each check in order; failures become sections, never exceptions."""
+    sections = []
+    for name, run in checks:
+        start = time.perf_counter()
+        try:
+            detail = run()
+            holds = True
+        except CheckFailed as exc:
+            detail = str(exc)
+            holds = False
+        except Exception as exc:
+            detail = f"{type(exc).__name__}: {exc}"
+            holds = False
+        sections.append(Section(name, holds, detail, time.perf_counter() - start))
+    return tuple(sections)
+
+
 @dataclass(frozen=True)
 class Report:
+    """Sections of one run, with the header lines and extra JSON fields."""
+
     sections: Tuple[Section, ...]
-    seed: int
+    fields: Mapping[str, object] = field(default_factory=dict)
+    header: Tuple[str, ...] = ()
+
+    @property
+    def seed(self) -> Optional[int]:
+        return self.fields.get("seed")
 
     @property
     def holds(self) -> bool:
@@ -109,21 +137,14 @@ class Report:
 
     def to_obj(self) -> dict:
         return {
+            **self.fields,
             "holds": self.holds,
-            "seed": self.seed,
-            "sections": [
-                {
-                    "name": section.name,
-                    "holds": section.holds,
-                    "detail": section.detail,
-                    "elapsed": round(section.elapsed, 3),
-                }
-                for section in self.sections
-            ],
+            "sections": [dict(asdict(section), elapsed=round(section.elapsed, 3))
+                         for section in self.sections],
         }
 
-    def lines(self) -> list:
-        out = []
+    def lines(self) -> List[str]:
+        out = list(self.header)
         for section in self.sections:
             mark = "ok" if section.holds else "FAIL"
             out.append(f"[{mark:>4}] {section.name}: {section.detail}")
@@ -148,12 +169,10 @@ def _braid_for(name: str, table: SymbolTable, fault: Optional[str]) -> SquareMat
     return braid(r)
 
 
-def _s14_pair(table: SymbolTable, fault: Optional[str]):
-    pair = s14_constant_projectors(table)
-    plus, minus = pair["plus"], pair["minus"]
-    if fault == "s14":
-        plus = _bump_corner(plus)
-    return plus, minus
+def _s14_plus(table: SymbolTable, fault: Optional[str]) -> SquareMatrix:
+    """The plus projector of the second case, corrupted when the fault matches."""
+    plus = s14_constant_projectors(table)["plus"]
+    return _bump_corner(plus) if fault == "s14" else plus
 
 
 # ---------------------------------------------------------------- sections
@@ -176,10 +195,9 @@ def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
     table = SymbolTable([])
     rhat = _braid_for("s03", table, fault)
     eye = SquareMatrix.identity(table, 4)
-    half = table.const(Fraction(1, 2))
     i = table.i()
-    plus = half * (eye + i * (rhat - eye))
-    minus = half * (eye - i * (rhat - eye))
+    formula = s03_constant_projectors(table, rhat)
+    plus, minus = formula["plus"], formula["minus"]
     literal = s03_constant_projectors(table)
     _check(plus == literal["plus"] and minus == literal["minus"],
            "first-case projector formulas drifted from their constants")
@@ -255,8 +273,8 @@ def _sec_functional_equations(seed: int, fault: Optional[str]) -> str:
 
 def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
     table = SymbolTable(["q", "v", "w", "vp", "wp", "vpp", "wpp"])
-    plus, minus = _s14_pair(table, fault)
-    tops = TensorOps(table, plus, minus)
+    plus = _s14_plus(table, fault)
+    tops = TensorOps(table, plus)
     basis = combination_basis(tops)
     residuals = reduction_identity_residuals(basis)
     bad = sorted(name for name, res in residuals.items() if not res.is_zero())
@@ -268,7 +286,7 @@ def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
         _check(coeffs[key] == closed[key], f"coefficient {key} differs from its closed form")
     two = table.const(2)
     constrained = s14_pybe_residual(
-        (v, -two - v), (vp, -two - vp), (vpp, -two - vpp), plus, minus
+        (v, -two - v), (vp, -two - vp), (vpp, -two - vpp), plus
     )
     _check(constrained.is_zero(),
            "pair-sum constraint does not cancel the parameterised residual")
@@ -318,24 +336,12 @@ def _sec_inverses_diagonalizers(seed: int, fault: Optional[str]) -> str:
 
 
 def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
+    # a plane whose operators clash raises ConsistencyFailure in wz_build
     table = SymbolTable(["c"])
     c = table.symbol("c")
-    rhat = _braid_for("s03", table, fault)
-    eye = SquareMatrix.identity(table, 4)
-    half = table.const(Fraction(1, 2))
-    i = table.i()
-    projectors = {
-        "plus": half * (eye + i * (rhat - eye)),
-        "minus": half * (eye - i * (rhat - eye)),
-    }
-    transform = s03_generator_transform(table)
-    cfg = WZConfig(coord="minus", diff=(("plus", 2 * c),), transform=transform)
-    p, q = wz_build(projectors, cfg)
-    _check(((p - eye) * (q + eye)).is_zero(), "first-plane consistency product is nonzero")
-    rel = derive_relations(p, q, transform)
+    rel = s03_plane(c, _braid_for("s03", table, fault))
     _check(rel == s03_plane(c), "first plane drifted from its constant-projector derivation")
-    coord = tuple(tuple(table.const(e) for e in row) for row in ((1, -1, 0, 0), (0, 0, 1, 1)))
-    diff = tuple(tuple(table.const(e) for e in row) for row in ((1, 1, 0, 0), (0, 0, 1, -1)))
+    coord, diff = _published_blocks("s03", table)
     _check(rel.coordinates == coord, "first-plane coordinate relations drifted")
     _check(rel.differentials == diff, "first-plane differential relations drifted")
     _check(rel.mixed == mixed_rules_s03(c), "first-plane rewrite rules drifted")
@@ -349,18 +355,9 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
 
     t2 = SymbolTable(["kplus", "kzero"])
     kplus, kzero = t2.symbols("kplus", "kzero")
-    plus, minus = _s14_pair(t2, fault)
-    projectors = dict(s14_constant_projectors(t2))
-    projectors["plus"] = plus
-    cfg = WZConfig(coord="minus", diff=(("plus", 2 * kplus), ("zero", kzero)))
-    p2, q2 = wz_build(projectors, cfg)
-    eye = SquareMatrix.identity(t2, 4)
-    _check(((p2 - eye) * (q2 + eye)).is_zero(), "second-plane consistency product is nonzero")
-    rel2 = derive_relations(p2, q2)
+    rel2 = s14_plane(kplus, kzero, _s14_plus(t2, fault))
     _check(rel2 == s14_plane(kplus, kzero), "second plane drifted from its packaged derivation")
-    coord = (tuple(t2.const(e) for e in (1, 0, 0, -1)),)
-    diff = tuple(tuple(t2.const(e) for e in row)
-                 for row in ((1, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0)))
+    coord, diff = _published_blocks("s14", t2)
     _check(rel2.coordinates == coord, "second-plane coordinate relations drifted")
     _check(rel2.differentials == diff, "second-plane differential relations drifted")
     _check(rel2.mixed == mixed_rules_s14(kplus, kzero), "second-plane rewrite rules drifted")
@@ -439,21 +436,13 @@ _SECTIONS: Tuple[Tuple[str, Callable[[int, Optional[str]], str]], ...] = (
 )
 
 
-def run_all(seed: int = 0, fault: Optional[str] = None) -> Report:
-    """Run every section; failures become report entries, never exceptions."""
+def section_checks(seed: int = 0, fault: Optional[str] = None) -> List[Check]:
+    """The nine sections as checks, over one seed and an optional fault."""
     if fault is not None and fault not in FAULT_TARGETS:
         raise ValueError(f"unknown fault target {fault!r}")
-    sections = []
-    for name, func in _SECTIONS:
-        start = time.perf_counter()
-        try:
-            detail = func(seed, fault)
-            holds = True
-        except CheckFailed as exc:
-            detail = str(exc)
-            holds = False
-        except Exception as exc:
-            detail = f"{type(exc).__name__}: {exc}"
-            holds = False
-        sections.append(Section(name, holds, detail, time.perf_counter() - start))
-    return Report(tuple(sections), seed)
+    return [(name, functools.partial(func, seed, fault)) for name, func in _SECTIONS]
+
+
+def run_all(seed: int = 0, fault: Optional[str] = None) -> Report:
+    """Run every section; failures become report entries, never exceptions."""
+    return Report(run_checks(section_checks(seed, fault)), {"seed": seed})

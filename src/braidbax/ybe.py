@@ -71,6 +71,11 @@ def embed23(a: SquareMatrix) -> SquareMatrix:
     return SquareMatrix.identity(a.table, 2).kron(a)
 
 
+def _triple_residual(a: SquareMatrix, b: SquareMatrix, c: SquareMatrix) -> SquareMatrix:
+    """A12 B23 C12 - C23 B12 A23 on the three-site space."""
+    return embed12(a) * embed23(b) * embed12(c) - embed23(c) * embed12(b) * embed23(a)
+
+
 def braid_ybe_residual(b: SquareMatrix) -> SquareMatrix:
     """B12 B23 B12 - B23 B12 B23; zero exactly for braid-relation matrices."""
     b12 = embed12(b)
@@ -116,12 +121,9 @@ def s03_pybe_residual(
     """
     if rhat is None:
         rhat = _s03_rhat(x.table)
-    mx = s03_member(p, x, rhat)
-    mxy = s03_member(p, x * y, rhat)
-    my = s03_member(p, y, rhat)
-    left = embed12(mx) * embed23(mxy) * embed12(my)
-    right = embed23(my) * embed12(mxy) * embed23(mx)
-    return left - right
+    return _triple_residual(
+        s03_member(p, x, rhat), s03_member(p, x * y, rhat), s03_member(p, y, rhat)
+    )
 
 
 def s03_generic_residual(
@@ -134,12 +136,11 @@ def s03_generic_residual(
     """
     if rhat is None:
         rhat = _s03_rhat(cx.table)
-    m1 = s03_member_generic(cx, rhat)
-    m2 = s03_member_generic(cxy, rhat)
-    m3 = s03_member_generic(cy, rhat)
-    left = embed12(m1) * embed23(m2) * embed12(m3)
-    right = embed23(m3) * embed12(m2) * embed23(m1)
-    return left - right
+    return _triple_residual(
+        s03_member_generic(cx, rhat),
+        s03_member_generic(cxy, rhat),
+        s03_member_generic(cy, rhat),
+    )
 
 
 def power_reduction_residual(
@@ -155,11 +156,8 @@ def power_reduction_residual(
     polynomial enters.
     """
     eye = SquareMatrix.identity(b.table, b.n)
-    m1 = eye + cx * b
-    m2 = eye + cxy * b
-    m3 = eye + cy * b
+    residual = _triple_residual(eye + cx * b, eye + cxy * b, eye + cy * b)
     b12, b23 = embed12(b), embed23(b)
-    residual = embed12(m1) * embed23(m2) * embed12(m3) - embed23(m3) * embed12(m2) * embed23(m1)
     collapsed = (cx + cy - cxy) * (b12 - b23) + (cx * cy) * (b12 * b12 - b23 * b23)
     return residual - collapsed
 
@@ -186,6 +184,17 @@ def s03_reduction_residual(
 # ---------------------------------------------------------------- s14 family
 
 
+def _corner_projectors(
+    table: SymbolTable, plus: Optional[SquareMatrix], minus: Optional[SquareMatrix]
+) -> tuple:
+    """The given corner projectors, the s14 constants standing in for None."""
+    if plus is None or minus is None:
+        pair = s14_constant_projectors(table)
+        plus = pair["plus"] if plus is None else plus
+        minus = pair["minus"] if minus is None else minus
+    return plus, minus
+
+
 def s14_member(
     v: Scalar,
     w: Scalar,
@@ -193,12 +202,8 @@ def s14_member(
     minus: Optional[SquareMatrix] = None,
 ) -> SquareMatrix:
     """Two-parameter member I + v*Pplus + w*Pminus (4x4)."""
-    table = v.table
-    if plus is None or minus is None:
-        pair = s14_constant_projectors(table)
-        plus = pair["plus"] if plus is None else plus
-        minus = pair["minus"] if minus is None else minus
-    return SquareMatrix.identity(table, 4) + v * plus + w * minus
+    plus, minus = _corner_projectors(v.table, plus, minus)
+    return SquareMatrix.identity(v.table, 4) + v * plus + w * minus
 
 
 def s14_member_q(q: Scalar) -> SquareMatrix:
@@ -235,13 +240,7 @@ def s14_pybe_residual(
     Zero whenever each pair sums to -2, with the pairs otherwise
     independent.
     """
-
-    def place(pair, where):
-        return where(s14_member(pair[0], pair[1], plus, minus))
-
-    left = place(first, embed12) * place(middle, embed23) * place(last, embed12)
-    right = place(last, embed23) * place(middle, embed12) * place(first, embed23)
-    return left - right
+    return _triple_residual(*(s14_member(v, w, plus, minus) for v, w in (first, middle, last)))
 
 
 class TensorOps:
@@ -261,10 +260,7 @@ class TensorOps:
         plus: Optional[SquareMatrix] = None,
         minus: Optional[SquareMatrix] = None,
     ):
-        if plus is None or minus is None:
-            pair = s14_constant_projectors(table)
-            plus = pair["plus"] if plus is None else plus
-            minus = pair["minus"] if minus is None else minus
+        plus, minus = _corner_projectors(table, plus, minus)
         self.table = table
         self.plus = plus
         self.minus = minus

@@ -5,7 +5,10 @@ check here is exact algebra, so flaky timing is the only thing a
 deadline could ever flag.
 """
 
+import functools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -45,6 +48,24 @@ def matrices(draw, n=2, names=("x",)):
     rows = [[draw(scalars(names=names, max_terms=2)) for _ in range(n)]
             for _ in range(n)]
     return SquareMatrix(TABLE, rows)
+
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+
+
+@functools.lru_cache(maxsize=None)
+def golden() -> dict:
+    """Recorded outputs of every verb and of verify-all; see test_golden.py."""
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def without_elapsed(value):
+    """A report (or part of one) with every section timing removed."""
+    if isinstance(value, dict):
+        return {k: without_elapsed(v) for k, v in value.items() if k != "elapsed"}
+    if isinstance(value, list):
+        return [without_elapsed(v) for v in value]
+    return value
 
 
 @pytest.fixture(scope="session")

@@ -10,6 +10,8 @@ import pytest
 from braidbax import SymbolTable, builtin_case, matrix_from_obj
 from braidbax.cli import main
 
+from conftest import golden, without_elapsed
+
 MATRIX_SCHEMA = {
     "type": "object",
     "required": ["n", "symbols", "entries"],
@@ -145,7 +147,10 @@ def test_analyze_rejects_broken_files(tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"n": 2, "symbols": []}))
     assert main(["analyze", f"file:{malformed}"]) == 3
-    capsys.readouterr()
+    pole = _write_matrix(tmp_path / "pole.json", 2, [], [["1/0", "0"], ["0", "1"]])
+    assert main(["analyze", f"file:{pole}"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == f"input error: {pole} does not describe a matrix: division by zero"
 
 
 def test_out_flag_writes_the_report(tmp_path, capsys):
@@ -229,6 +234,10 @@ def test_ncplane_s14_numeric(capsys):
 def test_ncplane_bad_parameter_expression(capsys):
     assert main(["ncplane", "s03", "--c", "2 +"]) == 3
     assert "input error" in capsys.readouterr().err
+    assert main(["ncplane", "s03", "--c", "(" * 400 + "1" + ")" * 400]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "nesting deeper than 100 levels" in err
 
 
 # ----------------------------------------------------------------- verify-all
@@ -248,6 +257,8 @@ def test_verify_all_fault_injection_json(capsys):
         "inverses-diagonalizers",
         "noncommutative-planes",
     ]
+    recorded = golden()["verify"]["cli-fault-s03-json"]
+    assert (code, without_elapsed(report)) == (recorded["code"], recorded["stdout"])
 
 
 # -------------------------------------------------------------------- errors

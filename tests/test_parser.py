@@ -57,6 +57,15 @@ def test_parse_errors_carry_positions():
         parse("z + 1", table)
 
 
+def test_nesting_is_bounded():
+    table = SymbolTable(["x"])
+    assert parse("(" * 100 + "x" + ")" * 100, table) == table.symbol("x")
+    assert parse("-" * 100 + "x", table) == table.symbol("x")
+    for text in ("(" * 400 + "x" + ")" * 400, "-" * 1000 + "x", "(-" * 60 + "x" + ")" * 60):
+        with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+            parse(text, table)
+
+
 def test_imaginary_unit_is_reserved():
     table = SymbolTable(["x"])
     assert parse("i*i", table) == table.const(-1)

@@ -4,6 +4,8 @@ import pytest
 
 from braidbax import Report, run_all
 
+from conftest import golden, without_elapsed
+
 SECTION_ORDER = (
     "minimal-polynomials",
     "projector-suites",
@@ -38,6 +40,8 @@ def test_report_serialization_shape(clean_report):
     assert len(text) == len(SECTION_ORDER) + 1
     assert all(line.startswith("[  ok]") for line in text[:-1])
     assert text[-1] == "overall: ok"
+    assert text == golden()["verify"]["clean-lines"]
+    assert without_elapsed(obj) == golden()["verify"]["clean-obj"]
 
 
 def test_section_lookup(clean_report):
@@ -66,6 +70,8 @@ def test_injected_fault_hits_exactly_the_dependent_sections():
         if not section.holds:
             assert section.detail
     assert report.lines()[-1] == "overall: FAIL"
+    assert report.lines() == golden()["verify"]["fault-s14-lines"]
+    assert without_elapsed(report.to_obj()) == golden()["verify"]["fault-s14-obj"]
 
 
 def test_unknown_fault_target_is_rejected():
