@@ -97,7 +97,7 @@ def _load_matrix(path: str) -> SquareMatrix:
             obj = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         return matrix_from_obj(obj)
@@ -408,8 +408,11 @@ def _emit(report: Report, args) -> None:
     else:
         payload = "\n".join(report.lines()) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 
@@ -422,14 +425,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         header, fields, checks = _RUNNERS[args.verb](args)
+        report = Report(run_checks(checks), {"verb": args.verb, **fields}, tuple(header))
+        _emit(report, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
-    report = Report(run_checks(checks), {"verb": args.verb, **fields}, tuple(header))
-    _emit(report, args)
     return 0 if report.holds else 1
 
 

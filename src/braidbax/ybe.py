@@ -27,7 +27,6 @@ from .linalg import DimensionMismatch, SquareMatrix, braid, builtin
 from .scalar import Scalar, SymbolTable
 
 __all__ = [
-    "CombinationBasis",
     "ResidualNotInSpan",
     "TensorOps",
     "braid_ybe_residual",
@@ -184,26 +183,14 @@ def s03_reduction_residual(
 # ---------------------------------------------------------------- s14 family
 
 
-def _corner_projectors(
-    table: SymbolTable, plus: Optional[SquareMatrix], minus: Optional[SquareMatrix]
-) -> tuple:
-    """The given corner projectors, the s14 constants standing in for None."""
-    if plus is None or minus is None:
-        pair = s14_constant_projectors(table)
-        plus = pair["plus"] if plus is None else plus
-        minus = pair["minus"] if minus is None else minus
-    return plus, minus
+def s14_member(v: Scalar, w: Scalar, plus: Optional[SquareMatrix] = None) -> SquareMatrix:
+    """Two-parameter member I + v*Pplus + w*Pminus (4x4).
 
-
-def s14_member(
-    v: Scalar,
-    w: Scalar,
-    plus: Optional[SquareMatrix] = None,
-    minus: Optional[SquareMatrix] = None,
-) -> SquareMatrix:
-    """Two-parameter member I + v*Pplus + w*Pminus (4x4)."""
-    plus, minus = _corner_projectors(v.table, plus, minus)
-    return SquareMatrix.identity(v.table, 4) + v * plus + w * minus
+    plus replaces the constant plus projector; the minus one is fixed.
+    """
+    pair = s14_constant_projectors(v.table)
+    plus = pair["plus"] if plus is None else plus
+    return SquareMatrix.identity(v.table, 4) + v * plus + w * pair["minus"]
 
 
 def s14_member_q(q: Scalar) -> SquareMatrix:
@@ -215,113 +202,110 @@ def s14_member_q(q: Scalar) -> SquareMatrix:
     return s14_member(q - 1, -(q + 1))
 
 
-def s14_inverse_closed(
-    v: Scalar,
-    w: Scalar,
-    plus: Optional[SquareMatrix] = None,
-    minus: Optional[SquareMatrix] = None,
-) -> SquareMatrix:
+def s14_inverse_closed(v: Scalar, w: Scalar) -> SquareMatrix:
     """Closed inverse I - v/(1+v)*Pplus - w/(1+w)*Pminus.
 
     Poles at v = -1 and w = -1, exactly where the member is singular.
     """
-    return s14_member(-v / (1 + v), -w / (1 + w), plus, minus)
+    return s14_member(-v / (1 + v), -w / (1 + w))
 
 
 def s14_pybe_residual(
-    first: tuple,
-    middle: tuple,
-    last: tuple,
-    plus: Optional[SquareMatrix] = None,
-    minus: Optional[SquareMatrix] = None,
+    first: tuple, middle: tuple, last: tuple, plus: Optional[SquareMatrix] = None
 ) -> SquareMatrix:
     """Triple-product residual for three (v, w) parameter pairs.
 
     Zero whenever each pair sums to -2, with the pairs otherwise
     independent.
     """
-    return _triple_residual(*(s14_member(v, w, plus, minus) for v, w in (first, middle, last)))
+    return _triple_residual(*(s14_member(v, w, plus) for v, w in (first, middle, last)))
 
 
 class TensorOps:
     """Slot embeddings of the two s14 corner projectors.
 
     x1 and x2 put the plus projector at sites (1,2) and (2,3); y1 and
-    y2 do the same for the minus projector.  Alternative 4x4 matrices
-    may be supplied to demonstrate how the identities fail for
+    y2 do the same for the minus projector.  An alternative 4x4 plus
+    matrix may be supplied to demonstrate how the identities fail for
     non-projectors.
     """
 
-    __slots__ = ("table", "plus", "minus", "x1", "x2", "y1", "y2")
+    __slots__ = ("table", "plus", "x1", "x2", "y1", "y2")
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        plus: Optional[SquareMatrix] = None,
-        minus: Optional[SquareMatrix] = None,
-    ):
-        plus, minus = _corner_projectors(table, plus, minus)
+    def __init__(self, table: SymbolTable, plus: Optional[SquareMatrix] = None):
+        pair = s14_constant_projectors(table)
         self.table = table
-        self.plus = plus
-        self.minus = minus
-        self.x1 = embed12(plus)
-        self.x2 = embed23(plus)
-        self.y1 = embed12(minus)
-        self.y2 = embed23(minus)
+        self.plus = pair["plus"] if plus is None else plus
+        self.x1 = embed12(self.plus)
+        self.x2 = embed23(self.plus)
+        self.y1 = embed12(pair["minus"])
+        self.y2 = embed23(pair["minus"])
 
 
-class CombinationBasis:
-    """The twelve product-combination matrices the residual expands over.
+def _letter_difference(t: TensorOps, triple: str) -> SquareMatrix:
+    """D(A,B,C) = A_(12) B_(23) C_(12) - C_(23) B_(12) A_(23).
 
-    s1, s2 are the slot differences of the plus and minus embeddings;
-    j1, j2 the mixed two-factor differences; the remaining eight are
-    the three-factor differences that the reduction identities send
-    back onto the span of {s1, s2, j1, j2}.
+    The letters i, x, y of the triple name the identity, the plus and
+    the minus projector.
     """
-
-    __slots__ = ("s1", "s2", "j1", "j2", "s5", "s6", "k1", "k2", "k3", "l1", "l2", "l3")
-
-    def __init__(self, **matrices):
-        for name in self.__slots__:
-            setattr(self, name, matrices[name])
-
-
-def combination_basis(t: TensorOps) -> CombinationBasis:
-    """All twelve combinations, computed verbatim from their definitions."""
-    x1, x2, y1, y2 = t.x1, t.x2, t.y1, t.y2
-    return CombinationBasis(
-        s1=x1 - x2,
-        s2=y1 - y2,
-        j1=x1 * y2 - y1 * x2,
-        j2=y2 * x1 - x2 * y1,
-        s5=x1 * x2 * x1 - x2 * x1 * x2,
-        s6=y1 * y2 * y1 - y2 * y1 * y2,
-        k1=x1 * x2 * y1 - y2 * x1 * x2,
-        k2=x1 * y2 * x1 - x2 * y1 * x2,
-        k3=y1 * x2 * x1 - x2 * x1 * y2,
-        l1=y1 * y2 * x1 - x2 * y1 * y2,
-        l2=y1 * x2 * y1 - y2 * x1 * y2,
-        l3=x1 * y2 * y1 - y2 * y1 * x2,
-    )
+    eye = SquareMatrix.identity(t.table, 8)
+    slot12 = {"i": eye, "x": t.x1, "y": t.y1}
+    slot23 = {"i": eye, "x": t.x2, "y": t.y2}
+    a, b, c = triple
+    return slot12[a] * slot23[b] * slot12[c] - slot23[c] * slot12[b] * slot23[a]
 
 
-def reduction_identity_residuals(basis: CombinationBasis) -> dict:
+# The twelve product combinations the residual expands over, each the
+# difference of one letter triple.  s1, s2 are the slot differences of
+# the plus and minus embeddings, j1, j2 the mixed two-factor
+# differences; the other eight are three-factor differences that the
+# reduction identities send back onto the span of {s1, s2, j1, j2}.
+_BASIS = {
+    "s1": "xii", "s2": "yii", "j1": "xyi", "j2": "iyx",
+    "s5": "xxx", "s6": "yyy", "k1": "xxy", "k2": "xyx",
+    "k3": "yxx", "l1": "yyx", "l2": "yxy", "l3": "xyy",
+}
+_NAMED = {triple: name for name, triple in _BASIS.items()}
+
+# The other letter triples whose difference is a signed combination;
+# the remaining seven vanish through slot structure, idempotence, or
+# orthogonality.  Each claim is asserted at matrix level when expanding.
+_ELEMENTARY = {
+    "iix": ("s1", 1), "xix": ("s1", 1), "ixi": ("s1", -1),
+    "iiy": ("s2", 1), "yiy": ("s2", 1), "iyi": ("s2", -1),
+    "yxi": ("j1", -1), "ixy": ("j2", -1),
+}
+
+# The eight reduction identities, read by span element: a three-factor
+# combination n equals the sum of scale * sign * target over the rows
+# naming it, so the coefficient of each target collects
+# scale * (n1 +- n2 +- n3 +- n4) from the three-factor totals.  Keep the
+# term order: with two or more symbols stored forms are not canonical,
+# so another grouping prints equal coefficients differently.
+_REDUCTION = {
+    "s1": (Fraction(1, 4), (("s5", 1), ("l1", -1), ("l2", 1), ("l3", -1))),
+    "s2": (Fraction(1, 4), (("s6", 1), ("k1", -1), ("k2", 1), ("k3", -1))),
+    "j1": (Fraction(1, 2), (("k2", 1), ("k3", -1), ("l2", -1), ("l3", 1))),
+    "j2": (Fraction(1, 2), (("k2", 1), ("k1", -1), ("l1", 1), ("l2", -1))),
+}
+
+
+def combination_basis(t: TensorOps) -> dict:
+    """The twelve combination matrices by name."""
+    return {name: _letter_difference(t, triple) for name, triple in _BASIS.items()}
+
+
+def reduction_identity_residuals(basis: dict) -> dict:
     """Residuals of the eight identities collapsing the three-factor terms.
 
     Every value is the zero matrix when the basis comes from honest
     projector embeddings.
     """
-    q = Fraction(1, 4)
-    return {
-        "s5": basis.s5 - q * basis.s1,
-        "s6": basis.s6 - q * basis.s2,
-        "k1": basis.k1 + q * (basis.s2 + 2 * basis.j2),
-        "k2": basis.k2 - q * (basis.s2 + 2 * (basis.j1 + basis.j2)),
-        "k3": basis.k3 + q * (basis.s2 + 2 * basis.j1),
-        "l1": basis.l1 + q * (basis.s1 - 2 * basis.j2),
-        "l2": basis.l2 - q * (basis.s1 - 2 * (basis.j1 + basis.j2)),
-        "l3": basis.l3 + q * (basis.s1 - 2 * basis.j1),
-    }
+    residuals = {name: basis[name] for name in basis if name not in _REDUCTION}
+    for target, (scale, terms) in _REDUCTION.items():
+        for name, sign in terms:
+            residuals[name] = residuals[name] - (sign * scale) * basis[target]
+    return residuals
 
 
 def expansion_identity_residual(
@@ -337,20 +321,20 @@ def expansion_identity_residual(
     vpp, wpp = last
     b = combination_basis(t)
     expected = (
-        (v + vpp + v * vpp - vp) * b.s1
-        + (w + wpp + w * wpp - wp) * b.s2
-        + (v * vp * vpp) * b.s5
-        + (w * wp * wpp) * b.s6
-        + (v * wp - vp * w) * b.j1
-        + (vpp * wp - vp * wpp) * b.j2
-        + (v * vp * wpp) * b.k1
-        + (v * wp * vpp) * b.k2
-        + (w * vp * vpp) * b.k3
-        + (w * wp * vpp) * b.l1
-        + (w * vp * wpp) * b.l2
-        + (v * wp * wpp) * b.l3
+        (v + vpp + v * vpp - vp) * b["s1"]
+        + (w + wpp + w * wpp - wp) * b["s2"]
+        + (v * vp * vpp) * b["s5"]
+        + (w * wp * wpp) * b["s6"]
+        + (v * wp - vp * w) * b["j1"]
+        + (vpp * wp - vp * wpp) * b["j2"]
+        + (v * vp * wpp) * b["k1"]
+        + (v * wp * vpp) * b["k2"]
+        + (w * vp * vpp) * b["k3"]
+        + (w * wp * vpp) * b["l1"]
+        + (w * vp * wpp) * b["l2"]
+        + (v * wp * wpp) * b["l3"]
     )
-    return s14_pybe_residual(first, middle, last, t.plus, t.minus) - expected
+    return s14_pybe_residual(first, middle, last, t.plus) - expected
 
 
 def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
@@ -375,37 +359,6 @@ def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
     return True
 
 
-# Identification of the 27 elementary slot-letter differences
-# D(A,B,C) = A_(12) B_(23) C_(12) - C_(23) B_(12) A_(23) with letters in
-# {identity, plus, minus}.  Twenty land on a signed combination matrix,
-# the remaining seven vanish through slot structure, idempotence, or
-# orthogonality.  Each claim is asserted at matrix level when expanding.
-_ELEMENTARY = {
-    ("x", "i", "i"): ("s1", 1),
-    ("i", "i", "x"): ("s1", 1),
-    ("x", "i", "x"): ("s1", 1),
-    ("i", "x", "i"): ("s1", -1),
-    ("y", "i", "i"): ("s2", 1),
-    ("i", "i", "y"): ("s2", 1),
-    ("y", "i", "y"): ("s2", 1),
-    ("i", "y", "i"): ("s2", -1),
-    ("x", "y", "i"): ("j1", 1),
-    ("y", "x", "i"): ("j1", -1),
-    ("i", "y", "x"): ("j2", 1),
-    ("i", "x", "y"): ("j2", -1),
-    ("x", "x", "x"): ("s5", 1),
-    ("y", "y", "y"): ("s6", 1),
-    ("x", "x", "y"): ("k1", 1),
-    ("x", "y", "x"): ("k2", 1),
-    ("y", "x", "x"): ("k3", 1),
-    ("y", "y", "x"): ("l1", 1),
-    ("y", "x", "y"): ("l2", 1),
-    ("x", "y", "y"): ("l3", 1),
-}
-
-_COMBINATION_NAMES = ("s1", "s2", "j1", "j2", "s5", "s6", "k1", "k2", "k3", "l1", "l2", "l3")
-
-
 def expand_pybe_coefficients(
     first: tuple, middle: tuple, last: tuple, tops: Optional[TensorOps] = None
 ) -> dict:
@@ -413,8 +366,9 @@ def expand_pybe_coefficients(
 
     Expands the residual multilinearly over the three slots, so each of
     the 27 elementary letter triples contributes its parameter weight
-    times a fixed matrix.  Every such matrix is checked exactly against
-    the combination it must equal (or against zero); the eight
+    times its difference matrix.  Twelve of those differences are the
+    combination basis; every other one is checked exactly against the
+    signed combination it must equal (or against zero).  The eight
     three-factor totals are then collapsed with the reduction
     identities, and the four surviving coefficients are checked to
     recompose the residual.  Any failed check raises ResidualNotInSpan.
@@ -426,44 +380,37 @@ def expand_pybe_coefficients(
     table = first[0].table
     if tops is None:
         tops = TensorOps(table)
-    basis = combination_basis(tops)
-    eye = SquareMatrix.identity(table, 8)
-    outer = {"i": eye, "x": tops.x1, "y": tops.y1}
-    inner = {"i": eye, "x": tops.x2, "y": tops.y2}
-    weights = [
-        {"i": table.one(), "x": pair[0], "y": pair[1]}
-        for pair in (first, middle, last)
-    ]
-    totals = {name: table.zero() for name in _COMBINATION_NAMES}
-    for a in ("i", "x", "y"):
-        for b in ("i", "x", "y"):
-            for c in ("i", "x", "y"):
-                diff = outer[a] * inner[b] * outer[c] - inner[c] * outer[b] * inner[a]
-                found = _ELEMENTARY.get((a, b, c))
-                if found is None:
-                    if not diff.is_zero():
-                        raise ResidualNotInSpan(
-                            f"elementary difference {a},{b},{c} should vanish"
-                        )
-                    continue
-                name, sign = found
-                target = getattr(basis, name)
-                if diff != (target if sign > 0 else -target):
-                    raise ResidualNotInSpan(
-                        f"elementary difference {a},{b},{c} is not {name}"
-                    )
-                weight = weights[0][a] * weights[1][b] * weights[2][c]
-                totals[name] = totals[name] + (weight if sign > 0 else -weight)
-    quarter = Fraction(1, 4)
-    half = Fraction(1, 2)
-    a1 = totals["s1"] + quarter * (totals["s5"] - totals["l1"] + totals["l2"] - totals["l3"])
-    a2 = totals["s2"] + quarter * (totals["s6"] - totals["k1"] + totals["k2"] - totals["k3"])
-    b1 = totals["j1"] + half * (totals["k2"] - totals["k3"] - totals["l2"] + totals["l3"])
-    b2 = totals["j2"] + half * (totals["k2"] - totals["k1"] + totals["l1"] - totals["l2"])
-    recomposed = a1 * basis.s1 + a2 * basis.s2 + b1 * basis.j1 + b2 * basis.j2
-    if recomposed != s14_pybe_residual(first, middle, last, tops.plus, tops.minus):
+    diffs = {a + b + c: _letter_difference(tops, a + b + c)
+             for a in "ixy" for b in "ixy" for c in "ixy"}
+    basis = {name: diffs[triple] for name, triple in _BASIS.items()}
+    weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
+    totals = {name: table.zero() for name in _BASIS}
+    for triple, diff in diffs.items():
+        if triple in _NAMED:
+            name, sign = _NAMED[triple], 1
+        elif triple in _ELEMENTARY:
+            name, sign = _ELEMENTARY[triple]
+            if diff != (basis[name] if sign > 0 else -basis[name]):
+                raise ResidualNotInSpan(f"elementary difference {triple} is not {name}")
+        elif diff.is_zero():
+            continue
+        else:
+            raise ResidualNotInSpan(f"elementary difference {triple} should vanish")
+        a, b, c = triple
+        weight = weights[0][a] * weights[1][b] * weights[2][c]
+        totals[name] = totals[name] + (weight if sign > 0 else -weight)
+    coeffs = {}
+    for target, (scale, terms) in _REDUCTION.items():
+        (head, _), *rest = terms
+        collapsed = totals[head]
+        for name, sign in rest:
+            collapsed = collapsed + totals[name] if sign > 0 else collapsed - totals[name]
+        coeffs[target] = totals[target] + scale * collapsed
+    recomposed = sum((coeffs[name] * basis[name] for name in _REDUCTION),
+                     SquareMatrix.zeros(table, 8))
+    if recomposed != s14_pybe_residual(first, middle, last, tops.plus):
         raise ResidualNotInSpan("reduced coefficients fail to recompose the residual")
-    return {"a1": a1, "a2": a2, "b1": b1, "b2": b2}
+    return {"a1": coeffs["s1"], "a2": coeffs["s2"], "b1": coeffs["j1"], "b2": coeffs["j2"]}
 
 
 def pybe_coefficient_formulas(first: tuple, middle: tuple, last: tuple) -> dict:

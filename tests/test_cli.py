@@ -147,6 +147,9 @@ def test_analyze_rejects_broken_files(tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"n": 2, "symbols": []}))
     assert main(["analyze", f"file:{malformed}"]) == 3
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    assert main(["analyze", f"file:{binary}"]) == 3
     pole = _write_matrix(tmp_path / "pole.json", 2, [], [["1/0", "0"], ["0", "1"]])
     assert main(["analyze", f"file:{pole}"]) == 3
     err = capsys.readouterr().err
@@ -160,6 +163,14 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     capsys.readouterr()
     report = json.loads(out_path.read_text())
     jsonschema.validate(report, ANALYZE_SCHEMA)
+
+
+def test_out_flag_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "report.json"
+    assert main(["analyze", "s03", "--out", str(out_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage error: cannot write {out_path}: ")
+    assert err.count("\n") == 1
 
 
 # ----------------------------------------------------------------- baxterize

@@ -46,6 +46,8 @@ COMMANDS = (
     "baxterize s14",
     "baxterize s14 --triplet=v,-2-v,vp,-2-vp,vpp,-2-vpp",
     "baxterize s14 --triplet=1,0,1,0,1,0",
+    "baxterize s14 --triplet=a,b,c,a*b,b/c,(a+1)/(b-2)",
+    "baxterize s14 --triplet=a*b,c,a-b,b*c,(a+b)/(a-b),c^2",
     "ncplane s03",
     "ncplane s03 --c=0",
     "ncplane s14",
