@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _as_gauss, _join_terms
+from .scalar import Scalar, SymbolTable, _as_gauss, _join_terms, _power
 
 __all__ = [
     "DimensionMismatch",
@@ -177,10 +177,7 @@ class SquareMatrix:
             return NotImplemented
         if e < 0:
             return self.inverse() ** (-e)
-        out = SquareMatrix.identity(self.table, self.n)
-        for _ in range(e):
-            out = out * self
-        return out
+        return _power(SquareMatrix.identity(self.table, self.n), self, e)
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix(self.table, list(zip(*self.rows)))

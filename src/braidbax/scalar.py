@@ -2,20 +2,23 @@
 
 Values live in the fraction field Q(i)(s1, ..., sn).  A Scalar stores a
 numerator and a denominator, each a sparse polynomial mapping exponent
-tuples to Gaussian-rational coefficients.  All arithmetic is exact.
+tuples to Gaussian-integer coefficients, held as (re, im) pairs of
+Python ints.  All arithmetic is exact.
 
 Canonical form, re-established by every constructor:
 
 * zero is stored as 0/1,
 * the monomial gcd of numerator and denominator is divided out, so the
   smallest exponent of each symbol appearing anywhere is zero,
-* a constant denominator is folded into the numerator (den becomes 1),
-* when at most one symbol is active, numerator and denominator are
-  reduced by their univariate gcd,
-* a surviving non-constant denominator is scaled so all coefficients are
-  Gaussian integers of content one, then rotated by a unit so that the
-  lexicographically leading denominator coefficient has positive real
-  part and non-negative imaginary part.
+* when at most one symbol is active and both sides have two or more
+  terms, numerator and denominator are reduced by their univariate gcd
+  (a single-term side is already coprime to the other after the shift),
+* a constant denominator is one positive int d, (d, 0), and the integer
+  gcd of d and every numerator real and imaginary part is one,
+* a non-constant denominator is scaled with the numerator so that all
+  coefficients together have Gaussian content one, then rotated by a
+  unit so that the lexicographically leading denominator coefficient
+  has positive real part and non-negative imaginary part.
 
 With two or more active symbols no polynomial gcd is attempted, so
 distinct stored forms can denote equal values; `==` therefore always
@@ -26,6 +29,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
+from itertools import chain
+from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
 __all__ = ["GaussRational", "PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
@@ -214,8 +220,9 @@ class SymbolTable:
         z = _as_gauss(value)
         if z is None:
             raise TypeError(f"cannot build a constant scalar from {value!r}")
+        (re, im), d = _split(z)
         key = (0,) * self.n
-        return Scalar(self, {key: z}, {key: _G_ONE})
+        return Scalar(self, {key: (re, im)} if re or im else {}, {key: (d, 0)})
 
     def zero(self) -> "Scalar":
         return self.const(0)
@@ -229,47 +236,64 @@ class SymbolTable:
     def symbol(self, name: str) -> "Scalar":
         k = self.index(name)
         key = tuple(1 if j == k else 0 for j in range(self.n))
-        return Scalar(self, {key: _G_ONE}, {(0,) * self.n: _G_ONE})
+        return Scalar(self, {key: (1, 0)}, {(0,) * self.n: (1, 0)})
 
     def symbols(self, *names: str):
         return tuple(self.symbol(name) for name in names)
 
 
-# -- sparse polynomials: {exponent tuple: GaussRational}, no zero values --
+# -- sparse polynomials: {exponent tuple: (re, im) int pair}, no zero values --
 
 
 def _padd(a, b):
     out = dict(a)
-    for e, c in b.items():
+    for e, (br, bi) in b.items():
         s = out.get(e)
-        s = c if s is None else s + c
-        if s:
-            out[e] = s
-        elif e in out:
+        if s is None:
+            out[e] = (br, bi)
+        elif s[0] + br or s[1] + bi:
+            out[e] = (s[0] + br, s[1] + bi)
+        else:
             del out[e]
     return out
 
 
 def _pneg(a):
-    return {e: -c for e, c in a.items()}
+    return {e: (-r, -i) for e, (r, i) in a.items()}
 
 
 def _pmul(a, b):
     out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            s = out.get(e)
-            s = ca * cb if s is None else s + ca * cb
-            if s:
-                out[e] = s
-            elif e in out:
+    get = out.get
+    for ea, (ar, ai) in a.items():
+        for eb, (br, bi) in b.items():
+            e = tuple(map(add, ea, eb))
+            r = ar * br - ai * bi
+            i = ar * bi + ai * br
+            s = get(e)
+            if s is None:
+                out[e] = (r, i)
+            elif s[0] + r or s[1] + i:
+                out[e] = (s[0] + r, s[1] + i)
+            else:
                 del out[e]
     return out
 
 
 def _pconj(a):
-    return {e: c.conjugate() for e, c in a.items()}
+    return {e: (r, -i) for e, (r, i) in a.items()}
+
+
+def _pscale(a, h, m):
+    # every coefficient times the Gaussian integer h, divided exactly by the int m
+    hr, hi = h
+    return {e: ((r * hr - i * hi) // m, (r * hi + i * hr) // m) for e, (r, i) in a.items()}
+
+
+def _split(z: GaussRational):
+    """A Gaussian rational as a Gaussian-integer pair over a positive int."""
+    d = math.lcm(z.re.denominator, z.im.denominator)
+    return (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator)), d
 
 
 # -- Gaussian-integer gcd on plain (re, im) int pairs --
@@ -293,14 +317,17 @@ def _gint_gcd(a, b):
 
 def _quad_unit(z):
     # the unit u with u*z in the canonical quadrant: re > 0, im >= 0
-    for u in (_G_ONE, GaussRational(0, 1), GaussRational(-1), GaussRational(0, -1)):
-        w = z * u
-        if w.re > 0 and w.im >= 0:
-            return u
-    raise AssertionError("no quadrant unit for zero")
+    r, i = z
+    if r > 0 and i >= 0:
+        return (1, 0)
+    if i > 0:
+        return (0, -1)
+    if r < 0:
+        return (-1, 0)
+    return (0, 1)
 
 
-# -- dense univariate helpers (ascending coefficient lists) --
+# -- dense univariate helpers (ascending GaussRational coefficient lists) --
 
 
 def _utrim(a):
@@ -353,73 +380,74 @@ def _dense(poly, k):
     deg = max(e[k] for e in poly)
     out = [_G_ZERO] * (deg + 1)
     for e, c in poly.items():
-        out[e[k]] = c
+        out[e[k]] = GaussRational(*c)
     return out
 
 
-def _undense(coeffs, k, n):
+def _undense(coeffs, k, n, scale):
+    # the coefficients times scale, which must clear their denominators
     out = {}
     for d, c in enumerate(coeffs):
         if c:
-            out[tuple(d if j == k else 0 for j in range(n))] = c
+            out[tuple(d if j == k else 0 for j in range(n))] = _split(c * scale)[0]
     return out
 
 
 def _canonical(n, num, den):
-    num = {e: c for e, c in num.items() if c}
-    den = {e: c for e, c in den.items() if c}
     if not den:
         raise PoleError("denominator is identically zero")
     one_key = (0,) * n
     if not num:
-        return {}, {one_key: _G_ONE}
+        return {}, {one_key: (1, 0)}
 
-    mins = [min(e[k] for e in (*num, *den)) for k in range(n)]
+    cols = list(zip(*num, *den))
+    mins = [min(c) for c in cols]
     if any(mins):
-        num = {tuple(x - m for x, m in zip(e, mins)): c for e, c in num.items()}
-        den = {tuple(x - m for x, m in zip(e, mins)): c for e, c in den.items()}
+        num = {tuple(map(sub, e, mins)): c for e, c in num.items()}
+        den = {tuple(map(sub, e, mins)): c for e, c in den.items()}
 
-    def fold_constant_den():
-        d = den[one_key]
-        folded = num if d == _G_ONE else {e: c / d for e, c in num.items()}
-        return folded, {one_key: _G_ONE}
+    if len(num) > 1 and len(den) > 1:
+        active = [k for k, c in enumerate(cols) if max(c) != mins[k]]
+        if len(active) == 1:
+            k = active[0]
+            a = _dense(num, k)
+            b = _dense(den, k)
+            g = _ugcd(a, b)
+            if len(g) > 1:
+                qa = _uquo(a, g)
+                qb = _uquo(b, g)
+                scale = math.lcm(*(_split(c)[1] for c in (*qa, *qb)))
+                num = _undense(qa, k, n, scale)
+                den = _undense(qb, k, n, scale)
 
     if len(den) == 1 and one_key in den:
-        return fold_constant_den()
+        d, di = den[one_key]
+        if di or d < 0:
+            # times the conjugate, which leaves a positive int below
+            num = _pscale(num, (d, -di), 1)
+            d = d * d + di * di
+        if d != 1:
+            g = math.gcd(d, *chain.from_iterable(num.values()))
+            if g != 1:
+                num = _pscale(num, (1, 0), g)
+                d //= g
+        return num, {one_key: (d, 0)}
 
-    active = [k for k in range(n) if any(e[k] for e in (*num, *den))]
-    if len(active) == 1:
-        k = active[0]
-        a = _dense(num, k)
-        b = _dense(den, k)
-        g = _ugcd(a, b)
-        if len(g) > 1:
-            num = _undense(_uquo(a, g), k, n)
-            den = _undense(_uquo(b, g), k, n)
-            if len(den) == 1 and one_key in den:
-                return fold_constant_den()
-
-    lcm = 1
-    for c in (*num.values(), *den.values()):
-        lcm = math.lcm(lcm, c.re.denominator, c.im.denominator)
-    if lcm != 1:
-        z = GaussRational(lcm)
-        num = {e: c * z for e, c in num.items()}
-        den = {e: c * z for e, c in den.items()}
-
-    g = (0, 0)
-    for c in (*num.values(), *den.values()):
-        g = _gint_gcd(g, (int(c.re), int(c.im)))
-    gz = GaussRational(*g)
-    gz = gz * _quad_unit(gz)
-    if gz != _G_ONE:
-        num = {e: c / gz for e, c in num.items()}
-        den = {e: c / gz for e, c in den.items()}
-
-    u = _quad_unit(den[max(den)])
-    if u != _G_ONE:
-        num = {e: c * u for e, c in num.items()}
-        den = {e: c * u for e, c in den.items()}
+    # the content's norm divides the norm of every coefficient
+    coeffs = (*num.values(), *den.values())
+    g = (1, 0)
+    if math.gcd(*(r * r + i * i for r, i in coeffs)) != 1:
+        g = reduce(_gint_gcd, coeffs)
+    # divide by the content g and rotate the leading denominator
+    # coefficient into the quadrant, in one exact pass: c * u * conj(g) / |g|^2
+    h = (g[0], -g[1])
+    lr, li = den[max(den)]
+    u = _quad_unit((lr * h[0] - li * h[1], lr * h[1] + li * h[0]))
+    h = (h[0] * u[0] - h[1] * u[1], h[0] * u[1] + h[1] * u[0])
+    m = g[0] * g[0] + g[1] * g[1]
+    if h != (1, 0) or m != 1:
+        num = _pscale(num, h, m)
+        den = _pscale(den, h, m)
     return num, den
 
 
@@ -466,11 +494,9 @@ class Scalar:
             if other.table.names != self.table.names:
                 raise ValueError("scalars belong to different symbol tables")
             return other
-        z = _as_gauss(other)
-        if z is None:
+        if _as_gauss(other) is None:
             return None
-        key = (0,) * self.table.n
-        return Scalar(self.table, {key: z}, {key: _G_ONE})
+        return self.table.const(other)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -526,8 +552,6 @@ class Scalar:
     def __pow__(self, e):
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
-        if e == 0:
-            return self.table.one()
         if e < 0:
             if self.is_zero():
                 raise PoleError("zero raised to a negative power")
@@ -535,10 +559,7 @@ class Scalar:
             e = -e
         else:
             base = self
-        out = base
-        for _ in range(e - 1):
-            out = out * base
-        return out
+        return _power(self.table.one(), base, e)
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.table, _pconj(self.num), _pconj(self.den))
@@ -586,10 +607,23 @@ class Scalar:
         return f"Scalar({self})"
 
 
+def _power(one, base, e: int):
+    """base ** e for e >= 0 by square and multiply, starting from one."""
+    out = one
+    while e:
+        if e & 1:
+            out = out * base
+        e >>= 1
+        if e:
+            base = base * base
+    return out
+
+
 def _eval_poly(table: SymbolTable, poly: dict, vals) -> Scalar:
     total = table.zero()
+    key = (0,) * table.n
     for exps, coeff in poly.items():
-        term = table.const(coeff)
+        term = Scalar(table, {key: coeff}, {key: (1, 0)})
         for v, e in zip(vals, exps):
             if e:
                 term = term * v ** e
@@ -601,8 +635,8 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
     """Exact square root of monomial-over-monomial values, else None.
 
     Covers everything this package needs roots of: constants such as -4
-    or 2*i, and single-term ratios such as 4*q^2 whose exponents are all
-    even and whose coefficient is a perfect square in Q(i).
+    or 2*i, and single-term ratios such as i*x^2/(2*y^2) whose exponents
+    are all even and whose coefficient ratio is a perfect square in Q(i).
     """
     if value.is_zero():
         return value.table.zero()
@@ -612,13 +646,13 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
     (de, dc), = value.den.items()
     if any(x % 2 for x in (*ne, *de)):
         return None
-    nr = nc.sqrt()
-    dr = dc.sqrt()
-    if nr is None or dr is None:
+    root = (GaussRational(*nc) / GaussRational(*dc)).sqrt()
+    if root is None:
         return None
+    pair, d = _split(root)
     return Scalar(value.table,
-                  {tuple(x // 2 for x in ne): nr},
-                  {tuple(x // 2 for x in de): dr})
+                  {tuple(x // 2 for x in ne): pair},
+                  {tuple(x // 2 for x in de): (d, 0)})
 
 
 # -- text form -------------------------------------------------------------
@@ -667,24 +701,28 @@ def _join_terms(pieces: Sequence[str]) -> str:
     return out
 
 
-def _poly_str(names, poly) -> str:
-    return _join_terms([_term_str(names, e, poly[e]) for e in sorted(poly, reverse=True)])
+def _poly_str(names, poly, d: int) -> str:
+    # the int-pair polynomial divided by the positive int d
+    return _join_terms([_term_str(names, e, GaussRational(Fraction(poly[e][0], d), Fraction(poly[e][1], d)))
+                        for e in sorted(poly, reverse=True)])
 
 
 def _is_bare_mixed(poly) -> bool:
     # a lone constant term that renders as "a + b*i" needs wrapping
     if len(poly) != 1:
         return False
-    (e, c), = poly.items()
-    return not any(e) and bool(c.re) and bool(c.im)
+    (e, (re, im)), = poly.items()
+    return not any(e) and bool(re) and bool(im)
 
 
 def _scalar_str(s: Scalar) -> str:
     names = s.table.names
-    num = _poly_str(names, s.num)
-    if len(s.den) == 1 and s.den.get((0,) * s.table.n) == _G_ONE:
-        return num
-    den = _poly_str(names, s.den)
+    den = s.den
+    one_key = (0,) * s.table.n
+    if len(den) == 1 and one_key in den:
+        return _poly_str(names, s.num, den[one_key][0])
+    num = _poly_str(names, s.num, 1)
+    den = _poly_str(names, den, 1)
     if len(s.num) > 1 or _is_bare_mixed(s.num):
         num = f"({num})"
     if len(s.den) > 1 or "*" in den or den.startswith("-") or _is_bare_mixed(s.den):

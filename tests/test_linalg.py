@@ -70,6 +70,14 @@ def test_inverse():
         SquareMatrix(TABLE, [[1, 1], [1, 1]]).inverse()
 
 
+def test_matrix_powers():
+    x = TABLE.symbol("x")
+    m = SquareMatrix(TABLE, [[x, 1], [TABLE.i(), 2]])
+    assert m ** 0 == SquareMatrix.identity(TABLE, 2)
+    assert m ** 5 == m * m * m * m * m
+    assert m ** -2 == m.inverse() ** 2
+
+
 def test_kron_shape_and_values():
     a = SquareMatrix(TABLE, [[0, 1], [1, 0]])
     b = SquareMatrix(TABLE, [[1, 0], [0, -1]])

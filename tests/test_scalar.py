@@ -1,9 +1,10 @@
 """The exact scalar field: Gaussian-rational coefficients, Laurent monomials."""
 
+import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from braidbax import GaussRational, PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
 
@@ -112,6 +113,7 @@ def test_power_semantics():
     assert x ** 0 == TABLE.one()
     assert x ** -1 * x == TABLE.one()
     assert (x + 1) ** 2 == x * x + 2 * x + 1
+    assert (x + 1) ** 64 == ((x + 1) ** 8) ** 8
 
 
 def test_equality_cross_multiplies():
@@ -132,6 +134,10 @@ def test_sqrt_scalar_values():
     assert sqrt_scalar(x * x) is not None
     root = sqrt_scalar(4 * x * x)
     assert root is not None and root * root == 4 * x * x
+    y = TABLE.symbol("y")
+    for value in (TABLE.i() * x * x / (2 * y * y), TABLE.i() / 2):
+        root = sqrt_scalar(value)
+        assert root is not None and root * root == value
     assert sqrt_scalar(TABLE.const(2)) is None
     assert sqrt_scalar(TABLE.const(Fraction(-1, 3))) is None
 
@@ -177,3 +183,36 @@ def test_canonical_string_is_stable(a):
     b = a + TABLE.zero()
     assert str(b) == str(a)
     assert (a - b).is_zero()
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def test_arithmetic_agrees_with_sympy():
+    # sympy is an independent oracle: every operation is mirrored on
+    # sympy expressions and the printed result must cancel against it
+    sympy = pytest.importorskip("sympy")
+    from sympy.parsing.sympy_parser import parse_expr
+
+    names = {"x": sympy.Symbol("x"), "y": sympy.Symbol("y"), "I": sympy.I}
+
+    def mirror(value):
+        return parse_expr(str(value).replace("^", "**").replace("i", "I"), local_dict=names)
+
+    operands = scalars() | scalars(names=())  # constants as well
+    steps = st.lists(st.tuples(st.sampled_from("+-*/^"), operands, st.integers(-3, 3)), max_size=4)
+
+    @given(operands, steps)
+    def check(value, steps):
+        expected = mirror(value)
+        for op, operand, e in steps:
+            if op == "^":
+                if e < 0 and value.is_zero():
+                    continue
+                value, expected = value ** e, expected ** e
+            elif op != "/" or not operand.is_zero():
+                value = _OPS[op](value, operand)
+                expected = _OPS[op](expected, mirror(operand))
+        assert sympy.cancel(mirror(value) - expected) == 0
+
+    check()
