@@ -51,7 +51,7 @@ def s03_constant_projectors(
     if rhat is None:
         rhat = braid(builtin("s03_r", table))
     eye = SquareMatrix.identity(table, 4)
-    half = table.const(Fraction(1, 2))
+    half = table.scalar(Fraction(1, 2))
     i = table.i()
     return {
         "plus": half * (eye + i * (rhat - eye)),

@@ -262,7 +262,7 @@ def _baxterize_s14_triplet(triplet: str) -> Verb:
 def _baxterize_s14_free() -> Verb:
     table = SymbolTable(["q", "v", "w", "vp", "wp", "vpp", "wpp"])
     q, v, w, vp, wp, vpp, wpp = table.symbols("q", "v", "w", "vp", "wp", "vpp", "wpp")
-    two = table.const(2)
+    two = table.scalar(2)
     pairs = (v, w), (vp, wp), (vpp, wpp)
 
     def formulas_match() -> bool:

@@ -46,8 +46,7 @@ def c_law_residual(p: int, x: Scalar, y: Scalar) -> Scalar:
 
 
 def _branch_root(k_squared, reference: Scalar, branch: str) -> Scalar:
-    table = reference.table
-    k2 = k_squared if isinstance(k_squared, Scalar) else table.const(k_squared)
+    k2 = reference.table.scalar(k_squared)
     r = sqrt_scalar(1 - 4 * k2)
     if r is None:
         raise NonSquare(f"1 - 4*({k2}) has no square root in the scalar field")
@@ -95,8 +94,7 @@ def a_half_closed(x: Scalar) -> Scalar:
 
 def a_law_residual(k_squared, x: Scalar, y: Scalar, branch: str = "upper") -> Scalar:
     """a(xy) - (a(x) + a(y) + a(x)a(y)) / (1 - kSquared*a(x)a(y))."""
-    table = x.table
-    k2 = k_squared if isinstance(k_squared, Scalar) else table.const(k_squared)
+    k2 = x.table.scalar(k_squared)
     ax = a_eval_general(k2, x, branch)
     ay = a_eval_general(k2, y, branch)
     den = 1 - k2 * ax * ay

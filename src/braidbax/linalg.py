@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _as_gauss, _join_terms, _power
+from .scalar import Scalar, SymbolTable, _join_terms, _power
 
 __all__ = [
     "DimensionMismatch",
@@ -22,7 +22,6 @@ __all__ = [
     "UnivariatePoly",
     "braid",
     "builtin",
-    "char_poly",
     "matrix_from_obj",
     "matrix_to_obj",
     "minimal_polynomial",
@@ -46,7 +45,7 @@ class SquareMatrix:
     def __init__(self, table: SymbolTable, rows: Iterable[Iterable[object]]):
         fixed = []
         for row in rows:
-            fixed.append(tuple(self._entry(table, value) for value in row))
+            fixed.append(tuple(table.scalar(value) for value in row))
         n = len(fixed)
         if n == 0:
             raise DimensionMismatch("matrix needs at least one row")
@@ -56,14 +55,6 @@ class SquareMatrix:
         self.table = table
         self.n = n
         self.rows = tuple(fixed)
-
-    @staticmethod
-    def _entry(table: SymbolTable, value) -> Scalar:
-        if isinstance(value, Scalar):
-            if value.table.names != table.names:
-                raise ValueError("entry belongs to a different symbol table")
-            return value
-        return table.const(value)
 
     @classmethod
     def identity(cls, table: SymbolTable, n: int) -> "SquareMatrix":
@@ -94,16 +85,6 @@ class SquareMatrix:
 
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.rows for e in row)
-
-    def is_diagonal(self) -> bool:
-        return all(e.is_zero() for i, row in enumerate(self.rows)
-                   for j, e in enumerate(row) if i != j)
-
-    def trace(self) -> Scalar:
-        total = self.table.zero()
-        for k in range(self.n):
-            total = total + self.rows[k][k]
-        return total
 
     # -- arithmetic --
 
@@ -164,13 +145,11 @@ class SquareMatrix:
         return self._scale(factor)
 
     def _as_scalar(self, value) -> Optional[Scalar]:
-        if isinstance(value, Scalar):
-            if value.table.names != self.table.names:
-                raise ValueError("scalar belongs to a different symbol table")
-            return value
-        if _as_gauss(value) is not None:
-            return self.table.const(value)
-        return None
+        # None tells the arithmetic dunders to return NotImplemented
+        try:
+            return self.table.scalar(value)
+        except TypeError:
+            return None
 
     def __pow__(self, e: int):
         if not isinstance(e, int) or isinstance(e, bool):
@@ -279,7 +258,7 @@ class UnivariatePoly:
     __slots__ = ("table", "coeffs")
 
     def __init__(self, table: SymbolTable, coeffs: Iterable[object]):
-        fixed = [c if isinstance(c, Scalar) else table.const(c) for c in coeffs]
+        fixed = [table.scalar(c) for c in coeffs]
         while fixed and fixed[-1].is_zero():
             fixed.pop()
         self.table = table
@@ -302,43 +281,6 @@ class UnivariatePoly:
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
     __hash__ = None
-
-    def __add__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return UnivariatePoly(self.table, out)
-
-    def __sub__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __neg__(self):
-        return UnivariatePoly(self.table, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        if isinstance(other, UnivariatePoly):
-            if self.is_zero() or other.is_zero():
-                return UnivariatePoly(self.table, [])
-            zero = self.table.zero()
-            out = [zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for ka, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for kb, b in enumerate(other.coeffs):
-                    out[ka + kb] = out[ka + kb] + a * b
-            return UnivariatePoly(self.table, out)
-        if isinstance(other, Scalar) or _as_gauss(other) is not None:
-            return UnivariatePoly(self.table, [c * other for c in self.coeffs])
-        return NotImplemented
-
-    __rmul__ = __mul__
 
     def __divmod__(self, other):
         if not isinstance(other, UnivariatePoly):
@@ -366,13 +308,6 @@ class UnivariatePoly:
         total = self.table.zero()
         for c in reversed(self.coeffs):
             total = total * x + c
-        return total
-
-    def eval_matrix(self, a: SquareMatrix) -> SquareMatrix:
-        total = SquareMatrix.zeros(a.table, a.n)
-        eye = SquareMatrix.identity(a.table, a.n)
-        for c in reversed(self.coeffs):
-            total = total * a + c * eye
         return total
 
     def __str__(self):
@@ -437,29 +372,6 @@ def minimal_polynomial(a: SquareMatrix) -> UnivariatePoly:
         k += 1
         if k > a.n * a.n + 1:
             raise AssertionError("no dependency found; exact arithmetic bug")
-
-
-def char_poly(a: SquareMatrix) -> UnivariatePoly:
-    """det(tI - a) by cofactor expansion; supported for n <= 4."""
-    if a.n > 4:
-        raise DimensionMismatch("characteristic polynomial only for n <= 4")
-    table = a.table
-    cells = [[UnivariatePoly(table, [-a.rows[i][j], 1] if i == j else [-a.rows[i][j]])
-              for j in range(a.n)] for i in range(a.n)]
-    return _det_poly(table, cells)
-
-
-def _det_poly(table: SymbolTable, cells) -> UnivariatePoly:
-    if len(cells) == 1:
-        return cells[0][0]
-    total = UnivariatePoly(table, [])
-    for j, cell in enumerate(cells[0]):
-        if cell.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in cells[1:]]
-        term = cell * _det_poly(table, minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
 
 
 # -- built-in matrices -------------------------------------------------------

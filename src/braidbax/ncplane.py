@@ -30,10 +30,8 @@ __all__ = [
     "derive_relations",
     "mixed_rules_s03",
     "mixed_rules_s14",
-    "s03_generator_transform",
     "s03_plane",
     "s14_plane",
-    "transform_quadratic",
     "wz_build",
 ]
 
@@ -169,30 +167,10 @@ def derive_relations(
     return RelationSet(coordinates=coord, differentials=diff, mixed=mixed)
 
 
-def transform_quadratic(transform: SquareMatrix, vector: Sequence) -> tuple:
-    """Apply the induced t (x) t action to a degree-two component vector.
-
-    Covariant: the action of a product of transforms is the composition
-    of their actions.  The transform must be an invertible 2x2 matrix.
-    """
-    if transform.n != 2:
-        raise DimensionMismatch("generator transform must be 2x2")
-    transform.inverse()  # reject singular transforms up front
-    table = transform.table
-    big = transform.kron(transform)
-    coeffs = [value if isinstance(value, Scalar) else table.const(value) for value in vector]
-    if len(coeffs) != 4:
-        raise DimensionMismatch("component vector must have four entries")
-    return tuple(
-        sum((big.rows[i][j] * coeffs[j] for j in range(4)), table.zero())
-        for i in range(4)
-    )
-
-
 # ------------------------------------------------------------ built-in planes
 
 
-def s03_generator_transform(table: SymbolTable) -> SquareMatrix:
+def _s03_generator_transform(table: SymbolTable) -> SquareMatrix:
     """The complex generator mix making every s03 coefficient real."""
     i = table.i()
     return SquareMatrix(table, [[1, i], [1, -i]])
@@ -210,7 +188,7 @@ _PUBLISHED_BLOCKS = {
 
 def _published_blocks(case: str, table: SymbolTable) -> Tuple[tuple, tuple]:
     """(coordinates, differentials) as a plane of the case must print them."""
-    return tuple(tuple(tuple(table.const(e) for e in row) for row in block)
+    return tuple(tuple(tuple(table.scalar(e) for e in row) for row in block)
                  for block in _PUBLISHED_BLOCKS[case])
 
 
@@ -224,7 +202,7 @@ def s03_plane(c: Scalar, rhat: Optional[SquareMatrix] = None) -> RelationSet:
     """
     table = c.table
     projectors = s03_constant_projectors(table, rhat)
-    transform = s03_generator_transform(table)
+    transform = _s03_generator_transform(table)
     cfg = WZConfig(coord="minus", diff=(("plus", 2 * c),), transform=transform)
     p, q = wz_build(projectors, cfg)
     return derive_relations(p, q, transform)

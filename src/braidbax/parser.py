@@ -164,7 +164,7 @@ def _atom(cur: _Cursor, table: SymbolTable) -> Scalar:
     kind, text, pos = cur.current()
     if kind == "int":
         cur.advance()
-        return table.const(int(text))
+        return table.scalar(int(text))
     if kind == "name":
         cur.advance()
         if text == "i":

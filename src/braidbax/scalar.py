@@ -23,6 +23,9 @@ Canonical form, re-established by every constructor:
 With two or more active symbols no polynomial gcd is attempted, so
 distinct stored forms can denote equal values; `==` therefore always
 compares by cross-multiplication.  Scalars are deliberately unhashable.
+
+SymbolTable.scalar is the one conversion into the field: every int,
+Fraction or Scalar handed to the package passes through it.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from itertools import chain
 from operator import add, sub
 from typing import Iterable, Mapping, Optional, Sequence
 
-__all__ = ["GaussRational", "PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
+__all__ = ["PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
 
 
 class UnknownSymbol(Exception):
@@ -56,8 +59,9 @@ def _frac_sqrt(f: Fraction) -> Optional[Fraction]:
     return Fraction(rn, rd)
 
 
-class GaussRational:
-    """A complex number with Fraction real and imaginary parts."""
+class _GaussRational:
+    """A complex number with Fraction parts: the univariate Euclid, square
+    roots and printing work in it."""
 
     __slots__ = ("re", "im")
 
@@ -65,79 +69,22 @@ class GaussRational:
         self.re = re if isinstance(re, Fraction) else Fraction(re)
         self.im = im if isinstance(im, Fraction) else Fraction(im)
 
-    def __repr__(self):
-        return f"GaussRational({self.re}, {self.im})"
-
     def __bool__(self):
         return bool(self.re or self.im)
 
-    def is_zero(self) -> bool:
-        return not (self.re or self.im)
+    def __sub__(self, o):
+        return _GaussRational(self.re - o.re, self.im - o.im)
 
-    def __eq__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+    def __mul__(self, o):
+        return _GaussRational(self.re * o.re - self.im * o.im,
+                              self.re * o.im + self.im * o.re)
 
-    def __hash__(self):
-        return hash((self.re, self.im))
-
-    def __add__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re + o.re, self.im + o.im)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return GaussRational(self.re * o.re - self.im * o.im,
-                             self.re * o.im + self.im * o.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
+    def __truediv__(self, o):
         n = o.re * o.re + o.im * o.im
-        if not n:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussRational((self.re * o.re + self.im * o.im) / n,
-                             (self.im * o.re - self.re * o.im) / n)
+        return _GaussRational((self.re * o.re + self.im * o.im) / n,
+                              (self.im * o.re - self.re * o.im) / n)
 
-    def __rtruediv__(self, other):
-        o = _as_gauss(other)
-        if o is None:
-            return NotImplemented
-        return o / self
-
-    def __neg__(self):
-        return GaussRational(-self.re, -self.im)
-
-    def conjugate(self) -> "GaussRational":
-        return GaussRational(self.re, -self.im)
-
-    def norm(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
-
-    def sqrt(self) -> Optional["GaussRational"]:
+    def sqrt(self) -> Optional["_GaussRational"]:
         """The square root and whether it exists in Q(i).
 
         Of the two roots of a nonzero value, the one returned has
@@ -147,31 +94,22 @@ class GaussRational:
         c, d = self.re, self.im
         if not d:
             if not c:
-                return GaussRational(0)
+                return _GaussRational(0)
             if c > 0:
                 s = _frac_sqrt(c)
-                return None if s is None else GaussRational(s)
+                return None if s is None else _GaussRational(s)
             s = _frac_sqrt(-c)
-            return None if s is None else GaussRational(0, s)
+            return None if s is None else _GaussRational(0, s)
         r = _frac_sqrt(c * c + d * d)
         if r is None:
             return None
         a = _frac_sqrt((c + r) / 2)
         if a is None or not a:
             return None
-        return GaussRational(a, d / (2 * a))
+        return _GaussRational(a, d / (2 * a))
 
 
-def _as_gauss(value) -> Optional[GaussRational]:
-    if isinstance(value, GaussRational):
-        return value
-    if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-        return GaussRational(value)
-    return None
-
-
-_G_ZERO = GaussRational(0)
-_G_ONE = GaussRational(1)
+_G_ZERO = _GaussRational(0)
 
 
 class SymbolTable:
@@ -216,22 +154,35 @@ class SymbolTable:
         except KeyError:
             raise UnknownSymbol(name) from None
 
-    def const(self, value) -> "Scalar":
-        z = _as_gauss(value)
-        if z is None:
-            raise TypeError(f"cannot build a constant scalar from {value!r}")
-        (re, im), d = _split(z)
+    def scalar(self, value) -> "Scalar":
+        """value as a Scalar over this table's names.
+
+        An int or a Fraction becomes a constant, and a Scalar over the
+        same names is returned as it is.  A Scalar over other names
+        raises ValueError; any other value raises TypeError.
+        """
+        if isinstance(value, Scalar):
+            if value.table.names != self.names:
+                raise ValueError("scalars belong to different symbol tables")
+            return value
+        if isinstance(value, int) and not isinstance(value, bool):
+            re, d = value, 1
+        elif isinstance(value, Fraction):
+            re, d = value.numerator, value.denominator
+        else:
+            raise TypeError(f"cannot make a scalar from a {type(value).__name__}")
         key = (0,) * self.n
-        return Scalar(self, {key: (re, im)} if re or im else {}, {key: (d, 0)})
+        return Scalar(self, {key: (re, 0)} if re else {}, {key: (d, 0)})
 
     def zero(self) -> "Scalar":
-        return self.const(0)
+        return self.scalar(0)
 
     def one(self) -> "Scalar":
-        return self.const(1)
+        return self.scalar(1)
 
     def i(self) -> "Scalar":
-        return self.const(GaussRational(0, 1))
+        key = (0,) * self.n
+        return Scalar(self, {key: (0, 1)}, {key: (1, 0)})
 
     def symbol(self, name: str) -> "Scalar":
         k = self.index(name)
@@ -290,7 +241,7 @@ def _pscale(a, h, m):
     return {e: ((r * hr - i * hi) // m, (r * hi + i * hr) // m) for e, (r, i) in a.items()}
 
 
-def _split(z: GaussRational):
+def _split(z: _GaussRational):
     """A Gaussian rational as a Gaussian-integer pair over a positive int."""
     d = math.lcm(z.re.denominator, z.im.denominator)
     return (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator)), d
@@ -327,7 +278,7 @@ def _quad_unit(z):
     return (0, 1)
 
 
-# -- dense univariate helpers (ascending GaussRational coefficient lists) --
+# -- dense univariate helpers (ascending _GaussRational coefficient lists) --
 
 
 def _utrim(a):
@@ -355,7 +306,7 @@ def _ugcd(a, b):
     while b:
         a, b = b, _umod(a, b)
     lead = a[-1]
-    if lead != _G_ONE:
+    if lead.im or lead.re != 1:
         a = [c / lead for c in a]
     return a
 
@@ -380,7 +331,7 @@ def _dense(poly, k):
     deg = max(e[k] for e in poly)
     out = [_G_ZERO] * (deg + 1)
     for e, c in poly.items():
-        out[e[k]] = GaussRational(*c)
+        out[e[k]] = _GaussRational(*c)
     return out
 
 
@@ -389,7 +340,8 @@ def _undense(coeffs, k, n, scale):
     out = {}
     for d, c in enumerate(coeffs):
         if c:
-            out[tuple(d if j == k else 0 for j in range(n))] = _split(c * scale)[0]
+            key = tuple(d if j == k else 0 for j in range(n))
+            out[key] = ((c.re * scale).numerator, (c.im * scale).numerator)
     return out
 
 
@@ -468,21 +420,6 @@ class Scalar:
     def __bool__(self):
         return bool(self.num)
 
-    def free_symbols(self) -> frozenset:
-        """Names with a nonzero exponent somewhere in the stored form.
-
-        Syntactic on the stored representation: a value with two or more
-        active symbols is not gcd-reduced, so a symbol that would cancel
-        can still be reported.
-        """
-        names = self.table.names
-        out = set()
-        for e in (*self.num, *self.den):
-            for k, x in enumerate(e):
-                if x:
-                    out.add(names[k])
-        return frozenset(out)
-
     def is_real(self) -> bool:
         """True when the value equals its conjugate (symbols count as real)."""
         return self == self.conjugate()
@@ -490,13 +427,12 @@ class Scalar:
     # -- arithmetic --
 
     def _lift(self, other) -> Optional["Scalar"]:
-        if isinstance(other, Scalar):
-            if other.table.names != self.table.names:
-                raise ValueError("scalars belong to different symbol tables")
-            return other
-        if _as_gauss(other) is None:
+        # None tells the arithmetic dunders to return NotImplemented, so
+        # that Scalar * SquareMatrix reaches SquareMatrix.__rmul__
+        try:
+            return self.table.scalar(other)
+        except TypeError:
             return None
-        return self.table.const(other)
 
     def __add__(self, other):
         o = self._lift(other)
@@ -579,19 +515,13 @@ class Scalar:
     def substitute(self, bindings: Mapping[str, object]) -> "Scalar":
         """Replace some symbols by values; hitting an exact pole raises.
 
-        Values may be ints, Fractions, GaussRationals, or Scalars over
-        the same table.  Unbound symbols stay symbolic.
+        Values may be ints, Fractions, or Scalars over the same table.
+        Unbound symbols stay symbolic.
         """
         table = self.table
         vals = list(table.symbols(*table.names))
         for name, value in bindings.items():
-            k = table.index(name)
-            if isinstance(value, Scalar):
-                if value.table.names != table.names:
-                    raise ValueError("binding value uses a different symbol table")
-                vals[k] = value
-            else:
-                vals[k] = table.const(value)
+            vals[table.index(name)] = table.scalar(value)
         num = _eval_poly(table, self.num, vals)
         den = _eval_poly(table, self.den, vals)
         if den.is_zero():
@@ -646,7 +576,7 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
     (de, dc), = value.den.items()
     if any(x % 2 for x in (*ne, *de)):
         return None
-    root = (GaussRational(*nc) / GaussRational(*dc)).sqrt()
+    root = (_GaussRational(*nc) / _GaussRational(*dc)).sqrt()
     if root is None:
         return None
     pair, d = _split(root)
@@ -666,12 +596,12 @@ def _imag_str(b: Fraction) -> str:
     return f"{b}*i"
 
 
-def _mixed_str(z: GaussRational) -> str:
+def _mixed_str(z: _GaussRational) -> str:
     sign = " + " if z.im > 0 else " - "
     return f"{z.re}{sign}{_imag_str(abs(z.im))}"
 
 
-def _term_str(names, exps, z: GaussRational) -> str:
+def _term_str(names, exps, z: _GaussRational) -> str:
     mono = "*".join(name if e == 1 else f"{name}^{e}"
                     for name, e in zip(names, exps) if e)
     if not mono:
@@ -703,7 +633,7 @@ def _join_terms(pieces: Sequence[str]) -> str:
 
 def _poly_str(names, poly, d: int) -> str:
     # the int-pair polynomial divided by the positive int d
-    return _join_terms([_term_str(names, e, GaussRational(Fraction(poly[e][0], d), Fraction(poly[e][1], d)))
+    return _join_terms([_term_str(names, e, _GaussRational(Fraction(poly[e][0], d), Fraction(poly[e][1], d)))
                         for e in sorted(poly, reverse=True)])
 
 

@@ -14,7 +14,7 @@ import itertools
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .linalg import SquareMatrix, UnivariatePoly, _row_space
+from .linalg import SquareMatrix, UnivariatePoly
 from .scalar import Scalar, sqrt_scalar
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "ProjectorSet",
     "RepeatedRoots",
     "check_diagonalizer",
-    "eigenvectors_from_projectors",
     "find_roots",
     "lagrange_projectors",
 ]
@@ -80,7 +79,7 @@ def find_roots(poly: UnivariatePoly) -> List[Scalar]:
         s = sqrt_scalar(disc)
         if s is None:
             raise IrreducibleOverSearchSpace(poly)
-        half = table.const(Fraction(1, 2))
+        half = table.scalar(Fraction(1, 2))
         roots.append((s - b) * half)
         roots.append((-s - b) * half)
     elif work.degree() == 1:
@@ -125,12 +124,6 @@ class ProjectorSet:
     def __init__(self, base: SquareMatrix, items: Sequence[Tuple[Scalar, SquareMatrix]]):
         self.base = base
         self.items = tuple(items)
-
-    def eigenvalues(self) -> List[Scalar]:
-        return [eig for eig, _ in self.items]
-
-    def projectors(self) -> List[SquareMatrix]:
-        return [proj for _, proj in self.items]
 
     def identity_sum(self) -> SquareMatrix:
         total = SquareMatrix.zeros(self.base.table, self.base.n)
@@ -190,15 +183,6 @@ def lagrange_projectors(a: SquareMatrix, roots: Sequence[Scalar]) -> ProjectorSe
     return ps
 
 
-def eigenvectors_from_projectors(ps: ProjectorSet):
-    """Per eigenvalue, a canonical basis of the projector's column space.
-
-    The basis is the set of nonzero rows of the reduced row echelon form
-    of the transposed projector, so it is deterministic.
-    """
-    return [(eig, list(_row_space(proj.transpose()))) for eig, proj in ps.items]
-
-
 def check_diagonalizer(d: SquareMatrix, a: SquareMatrix,
                        norm_squared) -> SquareMatrix:
     """Conjugate a by the scaled unitary d and insist the result is diagonal.
@@ -209,7 +193,7 @@ def check_diagonalizer(d: SquareMatrix, a: SquareMatrix,
     offending position) when the conjugated matrix is not diagonal.
     """
     table = a.table
-    ns = norm_squared if isinstance(norm_squared, Scalar) else table.const(norm_squared)
+    ns = table.scalar(norm_squared)
     eye = SquareMatrix.identity(table, a.n)
     if d * d.dagger() != ns * eye:
         raise ValueError("matrix is not unitary up to the stated norm factor")

@@ -51,6 +51,7 @@ from .funceq import (
     c_eval,
     c_from_a,
     c_law_residual,
+    f_aux,
     reparametrize_check,
 )
 from .ybe import (
@@ -58,6 +59,7 @@ from .ybe import (
     braid_ybe_residual,
     combination_basis,
     expand_pybe_coefficients,
+    power_reduction_residual,
     pybe_coefficient_formulas,
     reduction_identity_residuals,
     s03_pybe_residual,
@@ -229,6 +231,11 @@ def _sec_constant_ybe(seed: int, fault: Optional[str]) -> str:
     rhat = _braid_for("s14", SymbolTable(["q"]), fault)
     _check(braid_ybe_residual(rhat).is_zero(),
            "second braided matrix fails the braid relation symbolically in q")
+    free = SymbolTable(["q", "cx", "cy", "cxy"])
+    cx, cy, cxy = free.symbols("cx", "cy", "cxy")
+    rhat = _braid_for("s14", free, fault)
+    _check(power_reduction_residual(rhat, cx, cy, cxy).is_zero(),
+           "second braided matrix fails the first collapse stage in free coefficients")
     return "braid relation holds for both cases, the second symbolically in q"
 
 
@@ -244,6 +251,8 @@ def _sec_s03_baxterisation(seed: int, fault: Optional[str]) -> str:
     rhat_free = _braid_for("s03", free, fault)
     _check(s03_reduction_residual(cx, cy, cxy, rhat_free).is_zero(),
            "residual does not factor through the composition-law collapse")
+    _check(power_reduction_residual(rhat_free, cx, cy, cxy).is_zero(),
+           "first collapse stage fails in free coefficients")
     return "power family exact for p in -4..4; residual collapse exact in free coefficients"
 
 
@@ -268,6 +277,8 @@ def _sec_functional_equations(seed: int, fault: Optional[str]) -> str:
     _check(a_from_c(c_from_a(a)) == a, "parameter conversions fail to invert (a side)")
     _check(reparametrize_check(-2), "reparametrised branch misses the p = -2 coefficient")
     _check(c_eval(-2, x) == (1 / (x * x) - 1) / 2, "direct coefficient value drifted")
+    _check(f_aux(khalf, x) / f_aux(khalf, 1 / x) - 1 == a_eval_general(khalf, x),
+           "a(x) differs from f(x)/f(1/x) - 1 for the auxiliary function f")
     return "coefficient and additive laws exact; conversions mutually inverse; p = -2 recovered"
 
 
@@ -284,7 +295,7 @@ def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
     closed = pybe_coefficient_formulas((v, w), (vp, wp), (vpp, wpp))
     for key in ("a1", "a2", "b1", "b2"):
         _check(coeffs[key] == closed[key], f"coefficient {key} differs from its closed form")
-    two = table.const(2)
+    two = table.scalar(2)
     constrained = s14_pybe_residual(
         (v, -two - v), (vp, -two - vp), (vpp, -two - vpp), plus
     )
@@ -369,8 +380,8 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
 def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3) -> Scalar:
     total = table.zero()
     for _ in range(rng.randint(1, terms)):
-        coeff = table.const(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        coeff = coeff + table.const(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) * table.i()
+        coeff = table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        coeff = coeff + table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) * table.i()
         mono = table.one()
         for name in names:
             mono = mono * table.symbol(name) ** rng.randint(-2, 2)

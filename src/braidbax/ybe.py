@@ -34,13 +34,10 @@ __all__ = [
     "embed12",
     "embed23",
     "expand_pybe_coefficients",
-    "expansion_identity_residual",
     "power_reduction_residual",
     "pybe_coefficient_formulas",
     "reduction_identity_residuals",
-    "s03_generic_residual",
     "s03_member",
-    "s03_member_generic",
     "s03_pybe_residual",
     "s03_reduction_residual",
     "s14_chain",
@@ -89,7 +86,7 @@ def _s03_rhat(table: SymbolTable) -> SquareMatrix:
     return braid(builtin("s03_r", table))
 
 
-def s03_member_generic(c: Scalar, rhat: Optional[SquareMatrix] = None) -> SquareMatrix:
+def _s03_member_generic(c: Scalar, rhat: Optional[SquareMatrix] = None) -> SquareMatrix:
     """Unit-normalised member I + c*Rhat with a free coefficient scalar."""
     if rhat is None:
         rhat = _s03_rhat(c.table)
@@ -125,7 +122,7 @@ def s03_pybe_residual(
     )
 
 
-def s03_generic_residual(
+def _s03_generic_residual(
     cx: Scalar, cy: Scalar, cxy: Scalar, rhat: Optional[SquareMatrix] = None
 ) -> SquareMatrix:
     """Residual of unit members with free coefficients in the three slots.
@@ -136,9 +133,9 @@ def s03_generic_residual(
     if rhat is None:
         rhat = _s03_rhat(cx.table)
     return _triple_residual(
-        s03_member_generic(cx, rhat),
-        s03_member_generic(cxy, rhat),
-        s03_member_generic(cy, rhat),
+        _s03_member_generic(cx, rhat),
+        _s03_member_generic(cxy, rhat),
+        _s03_member_generic(cy, rhat),
     )
 
 
@@ -177,7 +174,7 @@ def s03_reduction_residual(
         rhat = _s03_rhat(cx.table)
     b12, b23 = embed12(rhat), embed23(rhat)
     law = cx + cy + 2 * cx * cy - cxy
-    return s03_generic_residual(cx, cy, cxy, rhat) - law * (b12 - b23)
+    return _s03_generic_residual(cx, cy, cxy, rhat) - law * (b12 - b23)
 
 
 # ---------------------------------------------------------------- s14 family
@@ -308,7 +305,7 @@ def reduction_identity_residuals(basis: dict) -> dict:
     return residuals
 
 
-def expansion_identity_residual(
+def _expansion_identity_residual(
     t: TensorOps, first: tuple, middle: tuple, last: tuple
 ) -> SquareMatrix:
     """Residual minus its twelve-term combination expansion; identically zero.

@@ -30,7 +30,7 @@ def scalars(draw, names=("x", "y"), max_terms=3):
     """A random element of the scalar field over the shared table."""
     total = TABLE.zero()
     for _ in range(draw(st.integers(0, max_terms))):
-        term = TABLE.const(draw(_fractions)) + TABLE.const(draw(_fractions)) * TABLE.i()
+        term = TABLE.scalar(draw(_fractions)) + TABLE.scalar(draw(_fractions)) * TABLE.i()
         for name in names:
             term = term * TABLE.symbol(name) ** draw(st.integers(-2, 2))
         total = total + term
@@ -48,6 +48,16 @@ def matrices(draw, n=2, names=("x",)):
     rows = [[draw(scalars(names=names, max_terms=2)) for _ in range(n)]
             for _ in range(n)]
     return SquareMatrix(TABLE, rows)
+
+
+def to_sympy(value):
+    """A Scalar as a sympy expression, read back from its printed form."""
+    import sympy
+    from sympy.parsing.sympy_parser import parse_expr
+
+    names = {name: sympy.Symbol(name) for name in value.table.names}
+    names["I"] = sympy.I
+    return parse_expr(str(value).replace("^", "**").replace("i", "I"), local_dict=names)
 
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")

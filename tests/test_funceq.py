@@ -27,7 +27,7 @@ HALF = Fraction(1, 2)
 def test_c_eval_values():
     assert c_eval(-2, X) == (1 / (X * X) - 1) / 2
     assert c_eval(0, X).is_zero()
-    assert c_eval(3, T.const(2)) == T.const(Fraction(7, 2))
+    assert c_eval(3, T.scalar(2)) == T.scalar(Fraction(7, 2))
     with pytest.raises(TypeError):
         c_eval(True, X)
     with pytest.raises(TypeError):
@@ -72,7 +72,7 @@ def test_k_zero_and_quarter_degenerations():
     # k^2 = 0: the pair collapses to x^-2 - 1
     assert a_eval_general(0, X) == 1 / (X * X) - 1
     # k^2 = 1/4: the root vanishes and the value freezes
-    assert a_eval_general(Fraction(1, 4), X) == T.const(-2)
+    assert a_eval_general(Fraction(1, 4), X) == T.scalar(-2)
 
 
 def test_nonsquare_root_rejected():

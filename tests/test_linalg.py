@@ -11,16 +11,16 @@ from braidbax import (
     SquareMatrix,
     SymbolTable,
     UnivariatePoly,
+    PoleError,
     braid,
     builtin,
-    char_poly,
     matrix_from_obj,
     matrix_to_obj,
     minimal_polynomial,
     rref,
 )
 
-from conftest import TABLE, matrices
+from conftest import TABLE, matrices, to_sympy
 
 
 def test_construction_and_coercion():
@@ -130,8 +130,6 @@ def test_univariate_poly_divmod_and_eval():
     assert rem.is_zero()
     assert quo == UnivariatePoly(TABLE, [-(1 - TABLE.i()), 1])
     assert p.eval_scalar(1 + TABLE.i()).is_zero()
-    m = SquareMatrix(TABLE, [[1, 1], [-1, 1]])
-    assert p.eval_matrix(m).is_zero()
 
 
 def test_minimal_polynomial_cases():
@@ -146,15 +144,51 @@ def test_minimal_polynomial_cases():
     assert minimal_polynomial(rep).degree() == 1
 
 
-def test_char_poly():
-    m = SquareMatrix(TABLE, [[1, 1], [-1, 1]])
-    assert char_poly(m) == UnivariatePoly(TABLE, [2, -2, 1])
-    big = SquareMatrix.identity(TABLE, 5)
-    with pytest.raises(DimensionMismatch):
-        char_poly(big)
-    table = SymbolTable(["q"])
-    rhat = braid(builtin("s14_r", table))
-    assert char_poly(rhat) == minimal_polynomial(rhat) * UnivariatePoly(table, [-1, 1])
+def test_minimal_polynomial_agrees_with_sympy():
+    # sympy is an independent oracle: its characteristic polynomial is a
+    # multiple of the minimal polynomial, and for a diagonalisable matrix
+    # its square-free part is the minimal polynomial itself
+    sympy = pytest.importorskip("sympy")
+    t = sympy.Symbol("t")
+    x, i = TABLE.symbol("x"), TABLE.i()
+    cases = [  # (matrix, diagonalisable)
+        (braid(builtin("s03_r", SymbolTable([]))), True),
+        (braid(builtin("s14_r", SymbolTable(["q"]))), True),
+        (builtin("perm", SymbolTable([])), True),
+        (SquareMatrix(TABLE, [[1, Fraction(1, 2)], [i, 0]]), True),
+        (SquareMatrix(TABLE, [[1, x], [0, 1]]), False),
+        (SquareMatrix(TABLE, [[1, i * x], [0, 2]]), True),
+        (SquareMatrix(TABLE, [[x, 1], [1, x]]), True),
+        (SquareMatrix(TABLE, [[x, 1], [i, 2]]), True),
+        (SquareMatrix(TABLE, [[0, 1], [1, 0]]).kron(SquareMatrix(TABLE, [[1, 0], [0, -1]])), True),
+        (SquareMatrix(TABLE, [[1, 1], [1, 1]]), True),
+        (SquareMatrix(TABLE, [[1, 1], [-1, 1]]), True),
+        (SquareMatrix.identity(TABLE, 3), True),
+        (SquareMatrix(TABLE, [[0, 1], [0, 0]]), False),
+        (SquareMatrix(TABLE, [[1, 0], [0, 2]]), True),
+        (SquareMatrix(TABLE, [[2, 0], [0, 2]]), True),
+    ]
+    for m, diagonalisable in cases:
+        poly = minimal_polynomial(m)
+        assert poly.is_monic()
+        mine = sum(to_sympy(c) * t ** k for k, c in enumerate(poly.coeffs))
+        charpoly = sympy.Matrix([[to_sympy(e) for e in row] for row in m.rows]).charpoly(t)
+        assert sympy.cancel(sympy.rem(charpoly.as_expr(), mine, t)) == 0, m
+        if diagonalisable:
+            square_free = sympy.Poly(sympy.sqf_part(charpoly.as_expr(), t), t).monic()
+            assert sympy.cancel(square_free.as_expr() - mine) == 0, m
+        else:
+            assert poly.degree() == m.n
+
+
+def test_substitute_applies_to_every_entry():
+    x, y = TABLE.symbols("x", "y")
+    i = TABLE.i()
+    m = SquareMatrix(TABLE, [[x, x * y], [1 / y, i]])
+    assert m.substitute({"x": 2, "y": Fraction(1, 2)}) == SquareMatrix(TABLE, [[2, 1], [2, i]])
+    assert m.substitute({"y": x}) == SquareMatrix(TABLE, [[x, x * x], [1 / x, i]])
+    with pytest.raises(PoleError):
+        m.substitute({"y": 0})
 
 
 def test_builtin_names():

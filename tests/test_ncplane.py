@@ -14,20 +14,19 @@ from braidbax import (
     mixed_rules_s03,
     mixed_rules_s14,
     s03_constant_projectors,
-    s03_generator_transform,
     s03_plane,
     s14_constant_projectors,
     s14_plane,
-    transform_quadratic,
     wz_build,
 )
+from braidbax.ncplane import _s03_generator_transform
 
 T = SymbolTable(["c"])
 C = T.symbol("c")
 
 
 def _rows(*tuples):
-    return tuple(tuple(T.const(v) for v in row) for row in tuples)
+    return tuple(tuple(T.scalar(v) for v in row) for row in tuples)
 
 
 # ------------------------------------------------------------------ assembly
@@ -180,7 +179,7 @@ def test_s03_transform_is_what_the_plane_uses():
     projectors = s03_constant_projectors(T)
     cfg = WZConfig(coord="minus", diff=(("plus", 2 * C),))
     p, q = wz_build(projectors, cfg)
-    assert derive_relations(p, q, s03_generator_transform(T)) == s03_plane(C)
+    assert derive_relations(p, q, _s03_generator_transform(T)) == s03_plane(C)
     # in the raw generators the rule matrix is complex
     raw = derive_relations(p, q)
     assert not all(e.is_real() for row in raw.mixed.rows for e in row)
@@ -193,22 +192,6 @@ def test_singular_or_missized_transforms_are_rejected():
         derive_relations(p, q, SquareMatrix(T, [[1, 1], [1, 1]]))
     with pytest.raises(DimensionMismatch):
         derive_relations(p, q, SquareMatrix.identity(T, 4))
-
-
-def test_transform_action_composes():
-    t1 = SquareMatrix(T, [[1, 2], [0, 1]])
-    t2 = SquareMatrix(T, [[1, 0], [C, 1]])
-    vector = (1, 0, C, 3)
-    once = transform_quadratic(t2, vector)
-    twice = transform_quadratic(t1, once)
-    assert transform_quadratic(t1 * t2, vector) == twice
-
-
-def test_transform_action_guards():
-    with pytest.raises(SingularMatrix):
-        transform_quadratic(SquareMatrix(T, [[1, 1], [1, 1]]), (1, 0, 0, 0))
-    with pytest.raises(DimensionMismatch):
-        transform_quadratic(SquareMatrix.identity(T, 2), (1, 0, 0))
 
 
 # -------------------------------------------------------------- serialization

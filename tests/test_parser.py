@@ -10,7 +10,7 @@ from conftest import TABLE, scalars
 
 def test_atoms():
     table = SymbolTable(["x"])
-    assert parse("42", table) == table.const(42)
+    assert parse("42", table) == table.scalar(42)
     assert parse("i", table) == table.i()
     assert parse("x", table) == table.symbol("x")
     assert parse("(x)", table) == table.symbol("x")
@@ -29,7 +29,7 @@ def test_precedence():
 
 def test_power_binds_left():
     table = SymbolTable([])
-    assert parse("2^3^2", table) == table.const(64)
+    assert parse("2^3^2", table) == table.scalar(64)
 
 
 def test_negative_exponents():
@@ -68,7 +68,7 @@ def test_nesting_is_bounded():
 
 def test_imaginary_unit_is_reserved():
     table = SymbolTable(["x"])
-    assert parse("i*i", table) == table.const(-1)
+    assert parse("i*i", table) == table.scalar(-1)
     with pytest.raises(ParseError):
         parse("2i", table)  # juxtaposition is not a product
     with pytest.raises(ParseError):

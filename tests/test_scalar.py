@@ -6,40 +6,32 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from braidbax import GaussRational, PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
+from braidbax import PoleError, SymbolTable, UnknownSymbol, sqrt_scalar
+from braidbax.scalar import _GaussRational
 
-from conftest import TABLE, nonzero_scalars, scalars
-
-
-# ------------------------------------------------------------ GaussRational
+from conftest import TABLE, nonzero_scalars, scalars, to_sympy
 
 
-def test_gauss_rational_arithmetic():
-    a = GaussRational(Fraction(1, 2), Fraction(3))
-    b = GaussRational(Fraction(-2), Fraction(1, 3))
-    assert a + b == GaussRational(Fraction(-3, 2), Fraction(10, 3))
-    assert a * b == GaussRational(Fraction(-2), Fraction(-35, 6))
-    assert (a / a) == GaussRational(Fraction(1), Fraction(0))
-    assert a.conjugate() == GaussRational(Fraction(1, 2), Fraction(-3))
+# ----------------------------------------------------------- _GaussRational
+
+
+def _parts(z):
+    return None if z is None else (z.re, z.im)
 
 
 def test_gauss_rational_sqrt_branch():
     # the root with positive real part wins; purely imaginary results
     # take the positive imaginary branch
-    four = GaussRational(Fraction(4), Fraction(0))
-    assert four.sqrt() == GaussRational(Fraction(2), Fraction(0))
-    minus_four = GaussRational(Fraction(-4), Fraction(0))
-    assert minus_four.sqrt() == GaussRational(Fraction(0), Fraction(2))
-    two_i = GaussRational(Fraction(0), Fraction(2))
-    assert two_i.sqrt() == GaussRational(Fraction(1), Fraction(1))
-    assert GaussRational(Fraction(0), Fraction(-2)).sqrt() == GaussRational(
-        Fraction(1), Fraction(-1)
-    )
+    assert _parts(_GaussRational(4).sqrt()) == (2, 0)
+    assert _parts(_GaussRational(-4).sqrt()) == (0, 2)
+    assert _parts(_GaussRational(0, 2).sqrt()) == (1, 1)
+    assert _parts(_GaussRational(0, -2).sqrt()) == (1, -1)
+    assert _parts(_GaussRational(Fraction(9, 4)).sqrt()) == (Fraction(3, 2), 0)
 
 
 def test_gauss_rational_sqrt_nonsquare():
-    assert GaussRational(Fraction(2), Fraction(0)).sqrt() is None
-    assert GaussRational(Fraction(1), Fraction(1)).sqrt() is None
+    assert _GaussRational(2).sqrt() is None
+    assert _GaussRational(1, 1).sqrt() is None
 
 
 # ------------------------------------------------------------------ tables
@@ -60,6 +52,21 @@ def test_foreign_table_mix_rejected():
     other = SymbolTable(["x"])
     with pytest.raises(ValueError):
         TABLE.symbol("x") + other.symbol("x")
+
+
+def test_table_scalar_is_the_one_conversion():
+    x = TABLE.symbol("x")
+    assert TABLE.scalar(x) is x
+    assert str(TABLE.scalar(-3)) == "-3"
+    assert str(TABLE.scalar(Fraction(-6, 4))) == "-3/2"
+    assert TABLE.scalar(0).is_zero()
+    with pytest.raises(ValueError):
+        TABLE.scalar(SymbolTable(["x"]).symbol("x"))
+    for value in (True, 0.5, 1j, "1", None):
+        with pytest.raises(TypeError):
+            TABLE.scalar(value)
+        with pytest.raises(TypeError):
+            x + value
 
 
 # ------------------------------------------------------- canonical behaviour
@@ -128,8 +135,8 @@ def test_equality_cross_multiplies():
 def test_sqrt_scalar_values():
     x = TABLE.symbol("x")
     i = TABLE.i()
-    assert sqrt_scalar(TABLE.const(Fraction(9, 4))) == TABLE.const(Fraction(3, 2))
-    assert sqrt_scalar(TABLE.const(-1)) == i
+    assert sqrt_scalar(TABLE.scalar(Fraction(9, 4))) == TABLE.scalar(Fraction(3, 2))
+    assert sqrt_scalar(TABLE.scalar(-1)) == i
     assert sqrt_scalar(TABLE.zero()) == TABLE.zero()
     assert sqrt_scalar(x * x) is not None
     root = sqrt_scalar(4 * x * x)
@@ -138,8 +145,45 @@ def test_sqrt_scalar_values():
     for value in (TABLE.i() * x * x / (2 * y * y), TABLE.i() / 2):
         root = sqrt_scalar(value)
         assert root is not None and root * root == value
-    assert sqrt_scalar(TABLE.const(2)) is None
-    assert sqrt_scalar(TABLE.const(Fraction(-1, 3))) is None
+    assert sqrt_scalar(TABLE.scalar(2)) is None
+    assert sqrt_scalar(TABLE.scalar(Fraction(-1, 3))) is None
+
+
+def test_sqrt_scalar_constant_branch():
+    # the root with positive real part wins; purely imaginary results
+    # take the positive imaginary branch
+    i = TABLE.i()
+    assert str(sqrt_scalar(TABLE.scalar(4))) == "2"
+    assert str(sqrt_scalar(TABLE.scalar(-4))) == "2*i"
+    assert str(sqrt_scalar(2 * i)) == "1 + i"
+    assert str(sqrt_scalar(-2 * i)) == "1 - i"
+    assert sqrt_scalar(TABLE.scalar(2)) is None
+    assert sqrt_scalar(1 + i) is None
+
+
+# -------------------------------------------------------------- substitution
+
+
+def test_substitute_binds_ints_fractions_and_scalars():
+    x, y = TABLE.symbols("x", "y")
+    value = (x * x + y) / (x - 2 * y)
+    assert value.substitute({"x": 3}) == (9 + y) / (3 - 2 * y)
+    assert value.substitute({"y": Fraction(1, 2)}) == (x * x + Fraction(1, 2)) / (x - 1)
+    assert value.substitute({"x": y + 1}) == ((y + 1) ** 2 + y) / (1 - y)
+    assert value.substitute({}) == value
+    assert str(value.substitute({"x": 1, "y": TABLE.i()})) == "-1/5 + 3/5*i"
+
+
+def test_substitute_rejects_poles_and_foreign_names():
+    x = TABLE.symbol("x")
+    with pytest.raises(PoleError):
+        (1 / x).substitute({"x": 0})
+    with pytest.raises(UnknownSymbol):
+        x.substitute({"z": 1})
+    with pytest.raises(ValueError):
+        x.substitute({"x": SymbolTable(["y"]).symbol("y")})
+    # a table with the same names is interchangeable
+    assert x.substitute({"x": SymbolTable(["x", "y"]).symbol("y")}) == TABLE.symbol("y")
 
 
 # ---------------------------------------------------------------- properties
@@ -192,19 +236,12 @@ def test_arithmetic_agrees_with_sympy():
     # sympy is an independent oracle: every operation is mirrored on
     # sympy expressions and the printed result must cancel against it
     sympy = pytest.importorskip("sympy")
-    from sympy.parsing.sympy_parser import parse_expr
-
-    names = {"x": sympy.Symbol("x"), "y": sympy.Symbol("y"), "I": sympy.I}
-
-    def mirror(value):
-        return parse_expr(str(value).replace("^", "**").replace("i", "I"), local_dict=names)
-
     operands = scalars() | scalars(names=())  # constants as well
     steps = st.lists(st.tuples(st.sampled_from("+-*/^"), operands, st.integers(-3, 3)), max_size=4)
 
     @given(operands, steps)
     def check(value, steps):
-        expected = mirror(value)
+        expected = to_sympy(value)
         for op, operand, e in steps:
             if op == "^":
                 if e < 0 and value.is_zero():
@@ -212,7 +249,7 @@ def test_arithmetic_agrees_with_sympy():
                 value, expected = value ** e, expected ** e
             elif op != "/" or not operand.is_zero():
                 value = _OPS[op](value, operand)
-                expected = _OPS[op](expected, mirror(operand))
-        assert sympy.cancel(mirror(value) - expected) == 0
+                expected = _OPS[op](expected, to_sympy(operand))
+        assert sympy.cancel(to_sympy(value) - expected) == 0
 
     check()

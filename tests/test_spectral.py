@@ -14,11 +14,11 @@ from braidbax import (
     braid,
     builtin,
     check_diagonalizer,
-    eigenvectors_from_projectors,
     find_roots,
     lagrange_projectors,
     minimal_polynomial,
 )
+from braidbax.linalg import _row_space
 
 QT = SymbolTable(["q"])
 Q = QT.symbol("q")
@@ -81,14 +81,16 @@ def test_lagrange_rejects_bad_roots():
     with pytest.raises(RepeatedRoots):
         lagrange_projectors(eye, [table.one(), table.one()])
     with pytest.raises(ValueError):
-        lagrange_projectors(eye, [table.const(2)])
+        lagrange_projectors(eye, [table.scalar(2)])
 
 
 def test_eigenvectors_have_their_eigenvalues():
+    # the column space of each projector is the eigenspace of its eigenvalue
     rhat = braid(builtin("s14_r", QT))
     ps = lagrange_projectors(rhat, find_roots(minimal_polynomial(rhat)))
     seen = 0
-    for eig, vectors in eigenvectors_from_projectors(ps):
+    for eig, proj in ps.items:
+        vectors = _row_space(proj.transpose())
         assert vectors
         for vec in vectors:
             image = [

@@ -2,7 +2,8 @@
 
 import pytest
 
-from braidbax import Report, run_all
+from braidbax import Report, SquareMatrix, run_all, verify
+from braidbax.verify import run_checks, section_checks
 
 from conftest import golden, without_elapsed
 
@@ -72,6 +73,25 @@ def test_injected_fault_hits_exactly_the_dependent_sections():
     assert report.lines()[-1] == "overall: FAIL"
     assert report.lines() == golden()["verify"]["fault-s14-lines"]
     assert without_elapsed(report.to_obj()) == golden()["verify"]["fault-s14-obj"]
+
+
+def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
+    def failed_sections():
+        checks = [check for check in section_checks() if check[0] != "plumbing"]
+        return {s.name: s.detail for s in run_checks(checks) if not s.holds}
+
+    monkeypatch.setattr(verify, "f_aux", lambda k_squared, x, branch="upper": x)
+    assert failed_sections() == {
+        "functional-equations": "a(x) differs from f(x)/f(1/x) - 1 for the auxiliary function f",
+    }
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "power_reduction_residual",
+                        lambda b, cx, cy, cxy: SquareMatrix.identity(b.table, 8))
+    assert failed_sections() == {
+        "constant-ybe":
+            "second braided matrix fails the first collapse stage in free coefficients",
+        "s03-baxterisation": "first collapse stage fails in free coefficients",
+    }
 
 
 def test_unknown_fault_target_is_rejected():
