@@ -29,9 +29,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class BuiltinCase:
-    name: str
     table: SymbolTable
-    r: SquareMatrix
     rhat: SquareMatrix
     min_poly: UnivariatePoly
     # (eigenvalue, projector label) sorted by eigenvalue text, matching
@@ -81,15 +79,12 @@ def s14_constant_projectors(table: SymbolTable) -> Dict[str, SquareMatrix]:
 def s03_case(table: Optional[SymbolTable] = None) -> BuiltinCase:
     if table is None:
         table = SymbolTable([])
-    r = builtin("s03_r", table)
-    rhat = braid(r)
+    rhat = braid(builtin("s03_r", table))
     one = table.one()
     i = table.i()
     pairing = ((one + i, "minus"), (one - i, "plus"))  # "1 + i" < "1 - i"
     return BuiltinCase(
-        name="s03",
         table=table,
-        r=r,
         rhat=rhat,
         min_poly=UnivariatePoly(table, [2, -2, 1]),
         pairing=pairing,
@@ -100,15 +95,12 @@ def s03_case(table: Optional[SymbolTable] = None) -> BuiltinCase:
 def s14_case(table: Optional[SymbolTable] = None) -> BuiltinCase:
     if table is None:
         table = SymbolTable(["q"])
-    r = builtin("s14_r", table)
-    rhat = braid(r)
+    rhat = braid(builtin("s14_r", table))
     q = table.symbol("q")
     one = table.one()
     pairing = ((-q, "minus"), (one, "zero"), (q, "plus"))  # "-q" < "1" < "q"
     return BuiltinCase(
-        name="s14",
         table=table,
-        r=r,
         rhat=rhat,
         min_poly=UnivariatePoly(table, [q * q, -(q * q), -one, one]),
         pairing=pairing,

@@ -282,28 +282,6 @@ class UnivariatePoly:
 
     __hash__ = None
 
-    def __divmod__(self, other):
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        div = other.coeffs
-        zero = self.table.zero()
-        if len(rem) < len(div):
-            return UnivariatePoly(self.table, []), UnivariatePoly(self.table, rem)
-        quo = [zero] * (len(rem) - len(div) + 1)
-        lead = div[-1]
-        while len(rem) >= len(div):
-            f = rem[-1] / lead
-            pos = len(rem) - len(div)
-            quo[pos] = f
-            if not f.is_zero():
-                for k in range(len(div) - 1):
-                    rem[pos + k] = rem[pos + k] - f * div[k]
-            rem.pop()
-        return UnivariatePoly(self.table, quo), UnivariatePoly(self.table, rem)
-
     def eval_scalar(self, x: Scalar) -> Scalar:
         total = self.table.zero()
         for c in reversed(self.coeffs):
@@ -458,7 +436,7 @@ def matrix_from_obj(obj: Mapping, table: Optional[SymbolTable] = None) -> Square
         entries = obj["entries"]
     except KeyError as missing:
         raise ValueError(f"matrix object lacks key {missing}") from None
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("matrix dimension must be a positive integer")
     if (not isinstance(symbols, list)
             or not all(isinstance(s, str) for s in symbols)):
@@ -468,5 +446,7 @@ def matrix_from_obj(obj: Mapping, table: Optional[SymbolTable] = None) -> Square
     if (not isinstance(entries, list) or len(entries) != n
             or any(not isinstance(row, list) or len(row) != n for row in entries)):
         raise ValueError(f"matrix entries must form an {n}x{n} grid")
+    if not all(isinstance(text, str) for row in entries for text in row):
+        raise ValueError("matrix entries must be strings")
     rows = [[parse(text, table) for text in row] for row in entries]
     return SquareMatrix(table, rows)

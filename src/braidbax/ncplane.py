@@ -1,11 +1,11 @@
 """Quadratic coordinate-differential algebras from projector data.
 
-The construction takes a pair of 4x4 operators: one whose shift P - I
-annihilates coordinate products, one whose shift Q + I annihilates
-differential products, with the mixed block x (x) xi = Q * (xi (x) x)
-read off row by row.  Consistency demands (P - I)(Q + I) = 0, which
-holds exactly when the shifts are built from orthogonal projectors of
-the same braid matrix.
+One builder, _wz_relations, follows the Wess-Zumino prescription over
+two shift matrices: P - I annihilates coordinate products, Q + I
+annihilates differential products, and the mixed block
+x (x) xi = Q * (xi (x) x) is read off row by row.  Consistency demands
+(P - I)(Q + I) = 0, which holds exactly when the shifts are built from
+orthogonal projectors of the same braid matrix.
 
 Relations may be derived in transformed generators: a 2x2 matrix t maps
 the new generators into the old ones, and every block is pushed through
@@ -17,22 +17,19 @@ derivations agree exactly when their canonical data agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from .cases import s03_constant_projectors, s14_constant_projectors
-from .linalg import DimensionMismatch, SquareMatrix, _row_space
+from .linalg import SquareMatrix, _row_space
 from .scalar import Scalar, SymbolTable, _join_terms
 
 __all__ = [
     "ConsistencyFailure",
     "RelationSet",
-    "WZConfig",
-    "derive_relations",
     "mixed_rules_s03",
     "mixed_rules_s14",
     "s03_plane",
     "s14_plane",
-    "wz_build",
 ]
 
 
@@ -42,44 +39,6 @@ class ConsistencyFailure(Exception):
     def __init__(self, message: str, witness: SquareMatrix):
         super().__init__(message)
         self.witness = witness
-
-
-@dataclass(frozen=True)
-class WZConfig:
-    """Recipe for one plane: which projectors build the two shifts.
-
-    coord names the projector set equal to P - I (unit coefficient, by
-    homogeneity of the mixed block).  diff lists (label, coefficient)
-    terms summed into Q + I.  transform optionally changes generators.
-    """
-
-    coord: str
-    diff: tuple
-    transform: Optional[SquareMatrix] = None
-
-
-def wz_build(
-    projectors: Mapping[str, SquareMatrix], cfg: WZConfig
-) -> tuple:
-    """Assemble (P, Q) from labelled projectors and check consistency."""
-    try:
-        base = projectors[cfg.coord]
-    except KeyError:
-        raise ValueError(f"no projector labelled {cfg.coord!r}") from None
-    table = base.table
-    eye = SquareMatrix.identity(table, base.n)
-    p = eye + base
-    q = -eye
-    for label, coeff in cfg.diff:
-        try:
-            term = projectors[label]
-        except KeyError:
-            raise ValueError(f"no projector labelled {label!r}") from None
-        q = q + coeff * term
-    product = (p - eye) * (q + eye)
-    if not product.is_zero():
-        raise ConsistencyFailure("(P - I)(Q + I) does not vanish", product)
-    return p, q
 
 
 _COORD_MONOMIALS = ("x1*x1", "x1*x2", "x2*x1", "x2*x2")
@@ -141,30 +100,26 @@ class RelationSet:
         }
 
 
-def derive_relations(
-    p: SquareMatrix, q: SquareMatrix, transform: Optional[SquareMatrix] = None
+def _wz_relations(
+    coord: SquareMatrix, diff: SquareMatrix, transform: Optional[SquareMatrix] = None
 ) -> RelationSet:
-    """Read the three relation blocks off (P, Q), optionally in new generators.
+    """Check (P - I)(Q + I) = 0 and read the three relation blocks off the shifts.
 
-    With old = transform * new on single generators, quadratic blocks
-    transform through t (x) t: annihilator rows are multiplied by it on
-    the right, the rule matrix is conjugated.  A singular transform is
-    rejected by the inversion.
+    coord is P - I and diff is Q + I.  With old = transform * new on
+    single generators, quadratic blocks transform through t (x) t:
+    annihilator rows are multiplied by it on the right, the rule matrix
+    Q is conjugated.  A singular transform is rejected by the inversion,
+    a missized one by the product.
     """
-    table = p.table
-    eye = SquareMatrix.identity(table, p.n)
-    if transform is None:
-        coord = _row_space(p - eye)
-        diff = _row_space(q + eye)
-        mixed = q
-    else:
-        if transform.n != 2:
-            raise DimensionMismatch("generator transform must be 2x2")
+    product = coord * diff
+    if not product.is_zero():
+        raise ConsistencyFailure("(P - I)(Q + I) does not vanish", product)
+    mixed = diff - SquareMatrix.identity(diff.table, diff.n)
+    if transform is not None:
         big = transform.kron(transform)
-        coord = _row_space((p - eye) * big)
-        diff = _row_space((q + eye) * big)
-        mixed = big.inverse() * q * big
-    return RelationSet(coordinates=coord, differentials=diff, mixed=mixed)
+        coord, diff, mixed = coord * big, diff * big, big.inverse() * mixed * big
+    return RelationSet(coordinates=_row_space(coord), differentials=_row_space(diff),
+                       mixed=mixed)
 
 
 # ------------------------------------------------------------ built-in planes
@@ -202,10 +157,8 @@ def s03_plane(c: Scalar, rhat: Optional[SquareMatrix] = None) -> RelationSet:
     """
     table = c.table
     projectors = s03_constant_projectors(table, rhat)
-    transform = _s03_generator_transform(table)
-    cfg = WZConfig(coord="minus", diff=(("plus", 2 * c),), transform=transform)
-    p, q = wz_build(projectors, cfg)
-    return derive_relations(p, q, transform)
+    return _wz_relations(projectors["minus"], (2 * c) * projectors["plus"],
+                         _s03_generator_transform(table))
 
 
 def s14_plane(
@@ -215,13 +168,11 @@ def s14_plane(
 
     plus replaces the constant plus projector when given.
     """
-    table = kplus.table
-    projectors = s14_constant_projectors(table)
-    if plus is not None:
-        projectors["plus"] = plus
-    cfg = WZConfig(coord="minus", diff=(("plus", 2 * kplus), ("zero", kzero)))
-    p, q = wz_build(projectors, cfg)
-    return derive_relations(p, q)
+    projectors = s14_constant_projectors(kplus.table)
+    if plus is None:
+        plus = projectors["plus"]
+    return _wz_relations(projectors["minus"],
+                         (2 * kplus) * plus + kzero * projectors["zero"])
 
 
 def mixed_rules_s03(c: Scalar) -> SquareMatrix:

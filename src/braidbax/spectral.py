@@ -111,9 +111,13 @@ def _trial_root(poly: UnivariatePoly) -> Optional[Scalar]:
 
 
 def _deflate(poly: UnivariatePoly, root: Scalar) -> UnivariatePoly:
-    quo, rem = divmod(poly, UnivariatePoly(poly.table, [-root, 1]))
-    assert rem.is_zero()
-    return quo
+    """The quotient of poly by t - root, by synthetic division."""
+    coeffs = poly.coeffs
+    quo = [coeffs[-1]]
+    for c in reversed(coeffs[1:-1]):
+        quo.append(c + quo[-1] * root)
+    assert (coeffs[0] + quo[-1] * root).is_zero()
+    return UnivariatePoly(poly.table, reversed(quo))
 
 
 class ProjectorSet:

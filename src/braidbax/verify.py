@@ -347,7 +347,7 @@ def _sec_inverses_diagonalizers(seed: int, fault: Optional[str]) -> str:
 
 
 def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
-    # a plane whose operators clash raises ConsistencyFailure in wz_build
+    # a plane whose shifts clash raises ConsistencyFailure in ncplane._wz_relations
     table = SymbolTable(["c"])
     c = table.symbol("c")
     rel = s03_plane(c, _braid_for("s03", table, fault))

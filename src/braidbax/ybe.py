@@ -86,13 +86,6 @@ def _s03_rhat(table: SymbolTable) -> SquareMatrix:
     return braid(builtin("s03_r", table))
 
 
-def _s03_member_generic(c: Scalar, rhat: Optional[SquareMatrix] = None) -> SquareMatrix:
-    """Unit-normalised member I + c*Rhat with a free coefficient scalar."""
-    if rhat is None:
-        rhat = _s03_rhat(c.table)
-    return SquareMatrix.identity(c.table, 4) + c * rhat
-
-
 def s03_member(p: int, x: Scalar, rhat: Optional[SquareMatrix] = None) -> SquareMatrix:
     """Power-law family member 2I + (x^p - 1)*Rhat.
 
@@ -122,21 +115,14 @@ def s03_pybe_residual(
     )
 
 
-def _s03_generic_residual(
-    cx: Scalar, cy: Scalar, cxy: Scalar, rhat: Optional[SquareMatrix] = None
-) -> SquareMatrix:
-    """Residual of unit members with free coefficients in the three slots.
+def _unit_residual(b: SquareMatrix, cx: Scalar, cy: Scalar, cxy: Scalar) -> SquareMatrix:
+    """Residual of the unit members I + c*b with free coefficients in the three slots.
 
-    Feeding coefficients that violate the composition law
-    cx + cy + 2*cx*cy = cxy leaves a nonzero multiple of B12 - B23.
+    For the s03 braid matrix, coefficients that violate the composition
+    law cx + cy + 2*cx*cy = cxy leave a nonzero multiple of B12 - B23.
     """
-    if rhat is None:
-        rhat = _s03_rhat(cx.table)
-    return _triple_residual(
-        _s03_member_generic(cx, rhat),
-        _s03_member_generic(cxy, rhat),
-        _s03_member_generic(cy, rhat),
-    )
+    eye = SquareMatrix.identity(b.table, b.n)
+    return _triple_residual(eye + cx * b, eye + cxy * b, eye + cy * b)
 
 
 def power_reduction_residual(
@@ -151,11 +137,9 @@ def power_reduction_residual(
     cancels using the braid relation alone, before any minimal
     polynomial enters.
     """
-    eye = SquareMatrix.identity(b.table, b.n)
-    residual = _triple_residual(eye + cx * b, eye + cxy * b, eye + cy * b)
     b12, b23 = embed12(b), embed23(b)
     collapsed = (cx + cy - cxy) * (b12 - b23) + (cx * cy) * (b12 * b12 - b23 * b23)
-    return residual - collapsed
+    return _unit_residual(b, cx, cy, cxy) - collapsed
 
 
 def s03_reduction_residual(
@@ -174,7 +158,7 @@ def s03_reduction_residual(
         rhat = _s03_rhat(cx.table)
     b12, b23 = embed12(rhat), embed23(rhat)
     law = cx + cy + 2 * cx * cy - cxy
-    return _s03_generic_residual(cx, cy, cxy, rhat) - law * (b12 - b23)
+    return _unit_residual(rhat, cx, cy, cxy) - law * (b12 - b23)
 
 
 # ---------------------------------------------------------------- s14 family

@@ -150,6 +150,18 @@ def test_analyze_rejects_broken_files(tmp_path, capsys):
     binary = tmp_path / "binary.json"
     binary.write_bytes(b"\xff\xfe")
     assert main(["analyze", f"file:{binary}"]) == 3
+    boolean = tmp_path / "boolean.json"
+    boolean.write_text(json.dumps({"n": True, "symbols": [], "entries": [["5"]]}))
+    assert main(["analyze", f"file:{boolean}"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"input error: {boolean} does not describe a matrix: "
+        "matrix dimension must be a positive integer")
+    numeric = _write_matrix(tmp_path / "numeric.json", 1, [], [[5]])
+    assert main(["analyze", f"file:{numeric}"]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1] == (
+        f"input error: {numeric} does not describe a matrix: matrix entries must be strings")
     pole = _write_matrix(tmp_path / "pole.json", 2, [], [["1/0", "0"], ["0", "1"]])
     assert main(["analyze", f"file:{pole}"]) == 3
     err = capsys.readouterr().err

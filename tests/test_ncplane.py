@@ -9,17 +9,14 @@ from braidbax import (
     SingularMatrix,
     SquareMatrix,
     SymbolTable,
-    WZConfig,
-    derive_relations,
     mixed_rules_s03,
     mixed_rules_s14,
     s03_constant_projectors,
     s03_plane,
     s14_constant_projectors,
     s14_plane,
-    wz_build,
 )
-from braidbax.ncplane import _s03_generator_transform
+from braidbax.ncplane import _s03_generator_transform, _wz_relations
 
 T = SymbolTable(["c"])
 C = T.symbol("c")
@@ -34,18 +31,17 @@ def _rows(*tuples):
 
 def test_wz_build_accepts_orthogonal_projector_pairs():
     projectors = s03_constant_projectors(T)
-    p, q = wz_build(projectors, WZConfig(coord="minus", diff=(("plus", 2 * C),)))
+    rel = _wz_relations(projectors["minus"], (2 * C) * projectors["plus"])
     eye = SquareMatrix.identity(T, 4)
-    assert p - eye == projectors["minus"]
-    assert q + eye == (2 * C) * projectors["plus"]
-    assert ((p - eye) * (q + eye)).is_zero()
+    assert rel.mixed == (2 * C) * projectors["plus"] - eye
+    assert len(rel.coordinates) == 2
+    assert len(rel.differentials) == 2
 
 
 def test_wz_build_role_swap_is_also_consistent():
     # the roles of the two s03 projectors can be exchanged
     projectors = s03_constant_projectors(T)
-    p, q = wz_build(projectors, WZConfig(coord="plus", diff=(("minus", C),)))
-    rel = derive_relations(p, q)
+    rel = _wz_relations(projectors["plus"], C * projectors["minus"])
     assert len(rel.coordinates) == 2
     assert len(rel.differentials) == 2
 
@@ -53,17 +49,9 @@ def test_wz_build_role_swap_is_also_consistent():
 def test_wz_build_rejects_projector_reuse():
     projectors = s03_constant_projectors(T)
     with pytest.raises(ConsistencyFailure) as info:
-        wz_build(projectors, WZConfig(coord="plus", diff=(("plus", C),)))
+        _wz_relations(projectors["plus"], C * projectors["plus"])
     # the witness is the nonvanishing product itself
     assert info.value.witness == C * projectors["plus"]
-
-
-def test_wz_build_rejects_unknown_labels():
-    projectors = s03_constant_projectors(T)
-    with pytest.raises(ValueError):
-        wz_build(projectors, WZConfig(coord="top", diff=()))
-    with pytest.raises(ValueError):
-        wz_build(projectors, WZConfig(coord="plus", diff=(("bottom", C),)))
 
 
 # ------------------------------------------------------------------ s03 plane
@@ -160,10 +148,10 @@ def test_s14_rules_come_straight_from_q():
     table = SymbolTable(["kplus", "kzero"])
     kplus, kzero = table.symbols("kplus", "kzero")
     projectors = s14_constant_projectors(table)
-    cfg = WZConfig(coord="minus", diff=(("plus", 2 * kplus), ("zero", kzero)))
-    p, q = wz_build(projectors, cfg)
-    assert q == mixed_rules_s14(kplus, kzero)
-    assert derive_relations(p, q) == s14_plane(kplus, kzero)
+    eye = SquareMatrix.identity(table, 4)
+    diff = (2 * kplus) * projectors["plus"] + kzero * projectors["zero"]
+    assert diff - eye == mixed_rules_s14(kplus, kzero)
+    assert _wz_relations(projectors["minus"], diff) == s14_plane(kplus, kzero)
 
 
 # ------------------------------------------------------- generator transforms
@@ -171,27 +159,27 @@ def test_s14_rules_come_straight_from_q():
 
 def test_identity_transform_changes_nothing():
     projectors = s03_constant_projectors(T)
-    p, q = wz_build(projectors, WZConfig(coord="minus", diff=(("plus", 2 * C),)))
-    assert derive_relations(p, q, SquareMatrix.identity(T, 2)) == derive_relations(p, q)
+    coord, diff = projectors["minus"], (2 * C) * projectors["plus"]
+    assert (_wz_relations(coord, diff, SquareMatrix.identity(T, 2))
+            == _wz_relations(coord, diff))
 
 
 def test_s03_transform_is_what_the_plane_uses():
     projectors = s03_constant_projectors(T)
-    cfg = WZConfig(coord="minus", diff=(("plus", 2 * C),))
-    p, q = wz_build(projectors, cfg)
-    assert derive_relations(p, q, _s03_generator_transform(T)) == s03_plane(C)
+    coord, diff = projectors["minus"], (2 * C) * projectors["plus"]
+    assert _wz_relations(coord, diff, _s03_generator_transform(T)) == s03_plane(C)
     # in the raw generators the rule matrix is complex
-    raw = derive_relations(p, q)
+    raw = _wz_relations(coord, diff)
     assert not all(e.is_real() for row in raw.mixed.rows for e in row)
 
 
 def test_singular_or_missized_transforms_are_rejected():
     projectors = s03_constant_projectors(T)
-    p, q = wz_build(projectors, WZConfig(coord="minus", diff=(("plus", C),)))
+    coord, diff = projectors["minus"], C * projectors["plus"]
     with pytest.raises(SingularMatrix):
-        derive_relations(p, q, SquareMatrix(T, [[1, 1], [1, 1]]))
+        _wz_relations(coord, diff, SquareMatrix(T, [[1, 1], [1, 1]]))
     with pytest.raises(DimensionMismatch):
-        derive_relations(p, q, SquareMatrix.identity(T, 4))
+        _wz_relations(coord, diff, SquareMatrix.identity(T, 4))
 
 
 # -------------------------------------------------------------- serialization

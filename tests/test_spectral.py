@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from braidbax import (
     IrreducibleOverSearchSpace,
@@ -19,6 +20,8 @@ from braidbax import (
     minimal_polynomial,
 )
 from braidbax.linalg import _row_space
+from braidbax.spectral import _deflate
+from conftest import TABLE, scalars
 
 QT = SymbolTable(["q"])
 Q = QT.symbol("q")
@@ -58,6 +61,20 @@ def test_find_roots_irreducible():
     # cubic with no unit-times-monomial root
     with pytest.raises(IrreducibleOverSearchSpace):
         find_roots(UnivariatePoly(QT, [Q + 1, 0, 0, 1]))
+
+
+@pytest.mark.parametrize("names", [("x",), ("x", "y")])
+@given(data=st.data())
+def test_deflate_returns_the_quotient(names, data):
+    root = data.draw(scalars(names=names))
+    quotient = data.draw(st.lists(scalars(names=names), max_size=3)) + [TABLE.one()]
+    # coefficients of (t - root) * quotient, ascending in degree
+    product = [-root * quotient[0]]
+    product += [low - root * high for low, high in zip(quotient, quotient[1:])]
+    product.append(quotient[-1])
+    deflated = _deflate(UnivariatePoly(TABLE, product), root)
+    assert deflated == UnivariatePoly(TABLE, quotient)
+    assert [str(c) for c in deflated.coeffs] == [str(c) for c in quotient]
 
 
 def test_lagrange_projectors_resolve_both_cases():

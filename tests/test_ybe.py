@@ -32,7 +32,7 @@ from braidbax import (
     s14_pybe_residual,
     verify_frt_relations,
 )
-from braidbax.ybe import _expansion_identity_residual, _s03_generic_residual
+from braidbax.ybe import _expansion_identity_residual, _unit_residual
 
 T = SymbolTable(["x", "y"])
 X, Y = T.symbols("x", "y")
@@ -143,10 +143,10 @@ def test_generic_residual_factors_through_the_law():
     # breaking the law by forcing cxy = 0 leaves the predicted multiple
     rhat = braid(builtin("s03_r", T))
     b12, b23 = embed12(rhat), embed23(rhat)
-    broken = _s03_generic_residual(X, Y, T.zero(), rhat)
+    broken = _unit_residual(rhat, X, Y, T.zero())
     assert broken == (X + Y + 2 * X * Y) * (b12 - b23)
     # restoring the law kills the residual
-    assert _s03_generic_residual(X, Y, X + Y + 2 * X * Y, rhat).is_zero()
+    assert _unit_residual(rhat, X, Y, X + Y + 2 * X * Y).is_zero()
 
 
 # ---------------------------------------------------------------- s14 family
