@@ -100,9 +100,14 @@ def _load_matrix(path: str) -> SquareMatrix:
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
-        return matrix_from_obj(obj)
+        matrix = matrix_from_obj(obj)
     except (KeyError, TypeError, ValueError, ParseError, UnknownSymbol, PoleError) as exc:
         raise InputError(f"{path} does not describe a matrix: {exc}") from exc
+    if "t" in matrix.table.names:
+        # the minimal polynomial prints in t, where a matrix symbol t would be ambiguous
+        raise InputError(f"{path} does not describe a matrix: "
+                         "symbol 't' is reserved for the minimal polynomial's variable")
+    return matrix
 
 
 def _target_kind(target: str) -> Tuple[str, str]:

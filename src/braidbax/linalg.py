@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _join_terms, _power
+from .scalar import Scalar, SymbolTable, _dot, _join_terms, _power
 
 __all__ = [
     "DimensionMismatch",
@@ -119,19 +119,16 @@ class SquareMatrix:
         if isinstance(other, SquareMatrix):
             self._same_shape(other)
             zero = self.table.zero()
+            brows = [[(j, b) for j, b in enumerate(row) if b] for row in other.rows]
             out = []
             for arow in self.rows:
-                acc = {}
-                for k, a in enumerate(arow):
-                    if a.is_zero():
-                        continue
-                    for j, b in enumerate(other.rows[k]):
-                        if b.is_zero():
-                            continue
-                        prod = a * b
-                        cur = acc.get(j)
-                        acc[j] = prod if cur is None else cur + prod
-                out.append([acc.get(j, zero) for j in range(self.n)])
+                pairs = {}
+                for a, brow in zip(arow, brows):
+                    if a:
+                        for j, b in brow:
+                            pairs.setdefault(j, []).append((a, b))
+                out.append([_dot(self.table, pairs[j]) if j in pairs else zero
+                            for j in range(self.n)])
             return SquareMatrix(self.table, out)
         factor = self._as_scalar(other)
         if factor is None:

@@ -10,6 +10,8 @@ Canonical form, re-established by every constructor:
 * zero is stored as 0/1,
 * the monomial gcd of numerator and denominator is divided out, so the
   smallest exponent of each symbol appearing anywhere is zero,
+* a numerator that is a constant multiple of the denominator is
+  replaced by that constant over one,
 * when at most one symbol is active and both sides have two or more
   terms, numerator and denominator are reduced by their univariate gcd
   (a single-term side is already coprime to the other after the shift),
@@ -23,6 +25,21 @@ Canonical form, re-established by every constructor:
 With two or more active symbols no polynomial gcd is attempted, so
 distinct stored forms can denote equal values; `==` therefore always
 compares by cross-multiplication.  Scalars are deliberately unhashable.
+
+Stored forms are nevertheless unique, and printing canonical, for every
+value with at most one active symbol and for every value whose
+denominator is one term (a constant, a monomial ratio or a Laurent
+polynomial), in any number of symbols.  For the latter the value is a
+Laurent polynomial L over Q(i): the shift fixes the denominator's
+monomial as the one clearing L's negative exponents, content one fixes
+its coefficient up to a unit as the generator of the ideal of Gaussian
+integers clearing L's coefficients, and the positive-int or quadrant
+rule fixes the unit.  Hence any route to such a value stores the same
+dicts, and the direct routes here are byte-identical to step-by-step
+arithmetic: a one-term value is canonicalised by formulas
+(_canonical_term), powered by scaling its exponents, and a matrix entry
+whose factors all have one-term denominators is summed over one common
+denominator and canonicalised once (_dot).
 
 SymbolTable.scalar is the one conversion into the field: every int,
 Fraction or Scalar handed to the package passes through it.
@@ -119,7 +136,7 @@ class SymbolTable:
     mixing scalars from tables with different names raises ValueError.
     """
 
-    __slots__ = ("names", "_pos")
+    __slots__ = ("names", "n", "_pos")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -133,6 +150,7 @@ class SymbolTable:
                 raise ValueError(f"duplicate symbol {name!r}")
             seen.add(name)
         self.names = names
+        self.n = len(names)
         self._pos = {name: k for k, name in enumerate(names)}
 
     def __repr__(self):
@@ -143,10 +161,6 @@ class SymbolTable:
 
     def __hash__(self):
         return hash(self.names)
-
-    @property
-    def n(self) -> int:
-        return len(self.names)
 
     def index(self, name: str) -> int:
         try:
@@ -161,6 +175,8 @@ class SymbolTable:
         same names is returned as it is.  A Scalar over other names
         raises ValueError; any other value raises TypeError.
         """
+        if type(value) is Scalar and value.table is self:
+            return value
         if isinstance(value, Scalar):
             if value.table.names != self.names:
                 raise ValueError("scalars belong to different symbol tables")
@@ -213,8 +229,9 @@ def _pneg(a):
     return {e: (-r, -i) for e, (r, i) in a.items()}
 
 
-def _pmul(a, b):
-    out = {}
+def _pmul(a, b, out=None):
+    # a*b, added into out when given
+    out = {} if out is None else out
     get = out.get
     for ea, (ar, ai) in a.items():
         for eb, (br, bi) in b.items():
@@ -276,6 +293,45 @@ def _quad_unit(z):
     if r < 0:
         return (-1, 0)
     return (0, 1)
+
+
+def _gmul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _gpow(z, e: int):
+    # z ** e for e >= 0 by square and multiply
+    out = (1, 0)
+    while e:
+        if e & 1:
+            out = _gmul(out, z)
+        e >>= 1
+        if e:
+            z = _gmul(z, z)
+    return out
+
+
+def _content(coeffs):
+    """The Gaussian gcd of nonzero int pairs, up to a unit.
+
+    The integer gcd k of every real and imaginary part comes out first;
+    the Gaussian Euclid then runs only on the quotients, and only when
+    their norms share a factor, since the content's norm divides each.
+    """
+    k = math.gcd(*chain.from_iterable(coeffs))
+    if k != 1:
+        coeffs = [(r // k, i // k) for r, i in coeffs]
+    if math.gcd(*(r * r + i * i for r, i in coeffs)) == 1:
+        return (k, 0)
+    g = reduce(_gint_gcd, coeffs)
+    return (g[0] * k, g[1] * k)
+
+
+def _normaliser(g, lead):
+    """h and m such that c -> c*h/m divides by the content g and rotates
+    lead/g into the canonical quadrant; the division by m is exact."""
+    h = (g[0], -g[1])
+    return _gmul(h, _quad_unit(_gmul(lead, h))), g[0] * g[0] + g[1] * g[1]
 
 
 # -- dense univariate helpers (ascending _GaussRational coefficient lists) --
@@ -357,6 +413,12 @@ def _canonical(n, num, den):
     if any(mins):
         num = {tuple(map(sub, e, mins)): c for e, c in num.items()}
         den = {tuple(map(sub, e, mins)): c for e, c in den.items()}
+    if len(den) > 1 and num.keys() == den.keys():
+        # num = (nc/dc)*den, a constant, exactly when all cross products agree
+        lead = next(iter(den))
+        nc, dc = num[lead], den[lead]
+        if all(_gmul(num[e], dc) == _gmul(den[e], nc) for e in den):
+            num, den = {one_key: nc}, {one_key: dc}
 
     if len(num) > 1 and len(den) > 1:
         active = [k for k, c in enumerate(cols) if max(c) != mins[k]]
@@ -373,30 +435,45 @@ def _canonical(n, num, den):
                 den = _undense(qb, k, n, scale)
 
     if len(den) == 1 and one_key in den:
-        d, di = den[one_key]
-        if di or d < 0:
-            # times the conjugate, which leaves a positive int below
-            num = _pscale(num, (d, -di), 1)
-            d = d * d + di * di
-        if d != 1:
-            g = math.gcd(d, *chain.from_iterable(num.values()))
-            if g != 1:
-                num = _pscale(num, (1, 0), g)
-                d //= g
-        return num, {one_key: (d, 0)}
+        return _over_int(one_key, num, den[one_key])
+    return _over_content(num, den)
 
-    # the content's norm divides the norm of every coefficient
-    coeffs = (*num.values(), *den.values())
-    g = (1, 0)
-    if math.gcd(*(r * r + i * i for r, i in coeffs)) != 1:
-        g = reduce(_gint_gcd, coeffs)
-    # divide by the content g and rotate the leading denominator
-    # coefficient into the quadrant, in one exact pass: c * u * conj(g) / |g|^2
-    h = (g[0], -g[1])
-    lr, li = den[max(den)]
-    u = _quad_unit((lr * h[0] - li * h[1], lr * h[1] + li * h[0]))
-    h = (h[0] * u[0] - h[1] * u[1], h[0] * u[1] + h[1] * u[0])
-    m = g[0] * g[0] + g[1] * g[1]
+
+def _canonical_term(one_key, num, den):
+    # c*x^a / (d*x^b): the shift by formula, then _canonical's last step
+    (a, c), = num.items()
+    (b, d), = den.items()
+    if a == b:
+        a = b = one_key
+    else:
+        lo = tuple(map(min, a, b))
+        if any(lo):
+            a = tuple(map(sub, a, lo))
+            b = tuple(map(sub, b, lo))
+    if b == one_key:
+        return _over_int(one_key, {a: c}, d)
+    return _over_content({a: c}, {b: d})
+
+
+def _over_int(one_key, num, d):
+    # num over the nonzero Gaussian integer d, as num' over a positive int
+    d, di = d
+    if di or d < 0:
+        # times the conjugate, which leaves a positive int below
+        num = _pscale(num, (d, -di), 1)
+        d = d * d + di * di
+    if d != 1:
+        g = math.gcd(d, *chain.from_iterable(num.values()))
+        if g != 1:
+            num = _pscale(num, (1, 0), g)
+            d //= g
+    return num, {one_key: (d, 0)}
+
+
+def _over_content(num, den):
+    # both sides divided by their content, the leading denominator
+    # coefficient rotated into the quadrant
+    h, m = _normaliser(_content((*num.values(), *den.values())), den[max(den)])
     if h != (1, 0) or m != 1:
         num = _pscale(num, h, m)
         den = _pscale(den, h, m)
@@ -410,7 +487,10 @@ class Scalar:
 
     def __init__(self, table: SymbolTable, num: dict, den: dict):
         self.table = table
-        self.num, self.den = _canonical(table.n, num, den)
+        if len(num) == 1 and len(den) == 1:
+            self.num, self.den = _canonical_term((0,) * table.n, num, den)
+        else:
+            self.num, self.den = _canonical(table.n, num, den)
 
     # -- predicates --
 
@@ -488,13 +568,18 @@ class Scalar:
     def __pow__(self, e):
         if not isinstance(e, int) or isinstance(e, bool):
             return NotImplemented
+        num, den = self.num, self.den
         if e < 0:
-            if self.is_zero():
+            if not num:
                 raise PoleError("zero raised to a negative power")
-            base = Scalar(self.table, self.den, self.num)
-            e = -e
-        else:
-            base = self
+            num, den, e = den, num, -e
+        if len(num) == 1 and len(den) == 1:
+            # one term over one term: scale the exponents, power the coefficients
+            (a, c), = num.items()
+            (b, d), = den.items()
+            return Scalar(self.table, {tuple(x * e for x in a): _gpow(c, e)},
+                          {tuple(x * e for x in b): _gpow(d, e)})
+        base = self if num is self.num else Scalar(self.table, num, den)
         return _power(self.table.one(), base, e)
 
     def conjugate(self) -> "Scalar":
@@ -547,6 +632,38 @@ def _power(one, base, e: int):
         if e:
             base = base * base
     return out
+
+
+def _dot(table: SymbolTable, pairs) -> Scalar:
+    """The sum of a*b over a nonempty list of (a, b) pairs of nonzero
+    Scalars, taken in order.
+
+    When every factor has a one-term denominator, each product is a
+    Laurent polynomial over a Gaussian-integer constant, and the sum is
+    formed over the lcm monomial and one positive int denominator and
+    canonicalised once.  Such a value has a single canonical form, so
+    this gives the stored form the step-by-step sum gives.  Otherwise
+    the products are summed step by step, whose stored form (with two or
+    more active symbols, where no gcd is taken) depends on that route.
+    """
+    if len(pairs) == 1 or not all(len(a.den) == 1 and len(b.den) == 1 for a, b in pairs):
+        return reduce(add, (a * b for a, b in pairs))
+    terms = []
+    for a, b in pairs:
+        (ea, ca), = a.den.items()
+        (eb, cb), = b.den.items()
+        # a*b = a.num*b.num*conj(c) / (|c|^2 * x^m) for c = ca*cb, m = ea + eb
+        cr, ci = _gmul(ca, cb)
+        terms.append((a.num, b.num, (cr, -ci), cr * cr + ci * ci, tuple(map(add, ea, eb))))
+    lcm = math.lcm(*(t[3] for t in terms))
+    top = tuple(map(max, zip(*(t[4] for t in terms))))
+    num = {}
+    for anum, bnum, (hr, hi), norm, m in terms:
+        s = lcm // norm
+        h = (hr * s, hi * s)
+        shift = tuple(map(sub, top, m))
+        _pmul({tuple(map(add, e, shift)): _gmul(c, h) for e, c in anum.items()}, bnum, num)
+    return Scalar(table, num, {top: (lcm, 0)})
 
 
 def _eval_poly(table: SymbolTable, poly: dict, vals) -> Scalar:

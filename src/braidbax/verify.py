@@ -378,15 +378,29 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
 
 
 def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3) -> Scalar:
-    total = table.zero()
+    """A sum of 1..terms random terms (p/q + r/s*i) * prod name^k.
+
+    p, r lie in -6..6, q, s in 1..4 and each k in -2..2, drawn in that
+    order per term.  The value is built as one polynomial over
+    12*prod name^2, which clears every q, s and negative k.
+    """
+    positions = [table.index(name) for name in names]
+    num = {}
     for _ in range(rng.randint(1, terms)):
-        coeff = table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        coeff = coeff + table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) * table.i()
-        mono = table.one()
-        for name in names:
-            mono = mono * table.symbol(name) ** rng.randint(-2, 2)
-        total = total + coeff * mono
-    return total
+        re = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
+        im = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
+        exps = [0] * table.n
+        for k in positions:
+            exps[k] = rng.randint(-2, 2) + 2
+        key = tuple(exps)
+        old_re, old_im = num.get(key, (0, 0))
+        re, im = old_re + re, old_im + im
+        if re or im:
+            num[key] = (re, im)
+        else:
+            num.pop(key, None)
+    den = tuple(2 if k in positions else 0 for k in range(table.n))
+    return Scalar(table, num, {den: (12, 0)})
 
 
 def _random_matrix(rng: random.Random, table: SymbolTable, names, n: int) -> SquareMatrix:

@@ -26,21 +26,21 @@ _fractions = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
 
 @st.composite
-def scalars(draw, names=("x", "y"), max_terms=3):
-    """A random element of the scalar field over the shared table."""
-    total = TABLE.zero()
+def scalars(draw, names=("x", "y"), max_terms=3, table=TABLE):
+    """A random Laurent polynomial over the table, the shared one by default."""
+    total = table.zero()
     for _ in range(draw(st.integers(0, max_terms))):
-        term = TABLE.scalar(draw(_fractions)) + TABLE.scalar(draw(_fractions)) * TABLE.i()
+        term = table.scalar(draw(_fractions)) + table.scalar(draw(_fractions)) * table.i()
         for name in names:
-            term = term * TABLE.symbol(name) ** draw(st.integers(-2, 2))
+            term = term * table.symbol(name) ** draw(st.integers(-2, 2))
         total = total + term
     return total
 
 
 @st.composite
-def nonzero_scalars(draw, names=("x", "y")):
-    value = draw(scalars(names=names))
-    return value if not value.is_zero() else value + TABLE.one()
+def nonzero_scalars(draw, names=("x", "y"), table=TABLE):
+    value = draw(scalars(names=names, table=table))
+    return value if not value.is_zero() else value + table.one()
 
 
 @st.composite

@@ -166,6 +166,13 @@ def test_analyze_rejects_broken_files(tmp_path, capsys):
     assert main(["analyze", f"file:{pole}"]) == 3
     err = capsys.readouterr().err
     assert err.splitlines()[-1] == f"input error: {pole} does not describe a matrix: division by zero"
+    reserved = _write_matrix(tmp_path / "reserved.json", 2, ["t"], [["t", "0"], ["0", "2*t"]])
+    assert main(["analyze", f"file:{reserved}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: {reserved} does not describe a matrix: "
+        "symbol 't' is reserved for the minimal polynomial's variable"]
 
 
 def test_out_flag_writes_the_report(tmp_path, capsys):
@@ -252,6 +259,15 @@ def test_ncplane_s14_numeric(capsys):
     assert main(["ncplane", "s14", "--kplus", "1", "--kzero", "1"]) == 0
     out = capsys.readouterr().out
     assert "x1*xi1 = xi2*x2" in out
+
+
+def test_ncplane_s14_two_symbol_pivots_print_as_one(capsys):
+    # each echelon row is divided by its pivot; with two symbols that
+    # quotient is P/P for a non-monomial P and must still print as 1
+    assert main(["ncplane", "s14", "--kplus=(a+b)/(a-b)", "--kzero=a/(b+1)"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[2:6] == ["  x1*x1 - x2*x2 = 0", "  xi1*xi1 + xi2*xi2 = 0",
+                          "  xi1*xi2 = 0", "  xi2*xi1 = 0"]
 
 
 def test_ncplane_bad_parameter_expression(capsys):

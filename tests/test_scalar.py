@@ -2,12 +2,23 @@
 
 import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
-from braidbax import PoleError, SymbolTable, UnknownSymbol, sqrt_scalar
-from braidbax.scalar import _GaussRational
+from braidbax import PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
+from braidbax.scalar import (
+    _GaussRational,
+    _canonical,
+    _canonical_term,
+    _content,
+    _dot,
+    _gint_gcd,
+    _gmul,
+    _normaliser,
+    _power,
+)
 
 from conftest import TABLE, nonzero_scalars, scalars, to_sympy
 
@@ -123,10 +134,85 @@ def test_power_semantics():
     assert (x + 1) ** 64 == ((x + 1) ** 8) ** 8
 
 
+def test_constant_multiples_of_the_denominator_reduce():
+    # with two symbols no gcd is taken, but num = c*den still means c
+    x, y = TABLE.symbols("x", "y")
+    i = TABLE.i()
+    p = x * x - y + i * x * y
+    assert str(p / p) == "1"
+    assert str(-p / p) == "-1"
+    assert str((2 + i) * x * p / (3 * x * p)) == "2/3 + 1/3*i"
+    assert str((x + y) / (x - y)) == "(x + y)/(x - y)"
+
+
 def test_equality_cross_multiplies():
     x, y = TABLE.symbols("x", "y")
     assert x / y == (x * x) / (x * y)
     assert x / y != y / x
+
+
+# ------------------------------------------------------------- fast routes
+#
+# A value with a one-term denominator has exactly one canonical form, so
+# each direct route must store the dicts its general counterpart stores.
+
+_TABLES = [SymbolTable(names) for names in (["x"], ["x", "y"], ["x", "y", "z"])]
+_gints = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).filter(lambda z: z != (0, 0))
+
+
+def _forms(value):
+    return value.num, value.den
+
+
+@st.composite
+def _factor(draw, table, laurent_only):
+    value = draw(nonzero_scalars(names=table.names, table=table))
+    if laurent_only or draw(st.booleans()):
+        return value
+    # a two-term denominator: no longer a Laurent polynomial
+    name = draw(st.sampled_from(table.names))
+    return value / (table.symbol(name) + draw(st.integers(1, 3)))
+
+
+@given(st.data())
+def test_one_term_route_matches_the_general_route(data):
+    n = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    common = data.draw(_gints)  # a shared factor, so that content is found
+    num = {data.draw(exps): _gmul(common, data.draw(_gints))}
+    den = {data.draw(exps): _gmul(common, data.draw(_gints))}
+    assert _canonical_term((0,) * n, num, den) == _canonical(n, num, den)
+
+
+@given(st.lists(_gints, min_size=1, max_size=5), _gints, st.integers(1, 6))
+def test_integer_first_content_gives_the_euclid_forms(coeffs, common, k):
+    coeffs = [_gmul((k * common[0], k * common[1]), c) for c in coeffs]
+
+    def normalised(g):
+        h, m = _normaliser(g, coeffs[-1])
+        return [(r // m, i // m) for r, i in (_gmul(c, h) for c in coeffs)]
+
+    assert normalised(_content(coeffs)) == normalised(reduce(_gint_gcd, coeffs))
+
+
+@given(st.data(), st.integers(-6, 6))
+def test_one_term_power_matches_square_and_multiply(data, e):
+    table = data.draw(st.sampled_from(_TABLES))
+    exps = st.tuples(*[st.integers(0, 3)] * table.n)
+    value = Scalar(table, {data.draw(exps): data.draw(_gints)},
+                   {data.draw(exps): data.draw(_gints)})
+    base = value if e >= 0 else Scalar(table, value.den, value.num)
+    assert _forms(value ** e) == _forms(_power(table.one(), base, abs(e)))
+
+
+@pytest.mark.parametrize("laurent_only", [True, False])
+@given(data=st.data())
+def test_dot_matches_the_step_by_step_sum(laurent_only, data):
+    table = data.draw(st.sampled_from(_TABLES))
+    factor = _factor(table, laurent_only)
+    pairs = data.draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=4))
+    want = reduce(operator.add, (a * b for a, b in pairs))
+    assert _forms(_dot(table, pairs)) == _forms(want)
 
 
 # -------------------------------------------------------------- square roots

@@ -1,9 +1,12 @@
 """End-to-end self-check harness: clean pass and fault injection."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
-from braidbax import Report, SquareMatrix, run_all, verify
-from braidbax.verify import run_checks, section_checks
+from braidbax import Report, SquareMatrix, SymbolTable, run_all, verify
+from braidbax.verify import _random_scalar, run_checks, section_checks
 
 from conftest import golden, without_elapsed
 
@@ -97,3 +100,29 @@ def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
 def test_unknown_fault_target_is_rejected():
     with pytest.raises(ValueError):
         run_all(fault="s99")
+
+
+def _random_scalar_by_arithmetic(rng, table, names, terms=3):
+    # the plumbing inputs built term by term through the field operations:
+    # the reference that the direct one-polynomial builder must reproduce
+    total = table.zero()
+    for _ in range(rng.randint(1, terms)):
+        coeff = table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+        coeff = coeff + table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) * table.i()
+        mono = table.one()
+        for name in names:
+            mono = mono * table.symbol(name) ** rng.randint(-2, 2)
+        total = total + coeff * mono
+    return total
+
+
+@pytest.mark.parametrize("names", [("x", "y"), ("x",), ("y",)])
+def test_random_scalar_matches_the_arithmetic_build(names):
+    table = SymbolTable(["x", "y"])
+    for seed in range(300):
+        direct, reference = random.Random(seed), random.Random(seed)
+        for terms in (3, 2):
+            got = _random_scalar(direct, table, names, terms)
+            want = _random_scalar_by_arithmetic(reference, table, names, terms)
+            assert (got.num, got.den) == (want.num, want.den), (seed, terms)
+        assert direct.getstate() == reference.getstate()
