@@ -63,6 +63,10 @@ Verb = Tuple[List[str], dict, List[Check]]
 
 _COEFFICIENTS = ("a1", "a2", "b1", "b2")
 
+# Largest |p| baxterize s03 accepts: the members' entries grow with |p|,
+# and p = 10000 already takes seconds.
+_MAX_EXPONENT = 1000
+
 
 class InputError(Exception):
     """The input file or a parameter expression cannot be used."""
@@ -224,6 +228,8 @@ def _run_baxterize(args) -> Verb:
 
 def _baxterize_s03(args) -> Verb:
     p = -2 if args.p is None else args.p
+    if abs(p) > _MAX_EXPONENT:
+        raise InputError(f"--p must lie in -{_MAX_EXPONENT}..{_MAX_EXPONENT}, not {p}")
     x, y = SymbolTable(["x", "y"]).symbols("x", "y")
     checks = [
         _claim("parameterised-braid", lambda: s03_pybe_residual(p, x, y).is_zero(),
@@ -374,7 +380,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baxterize", help="parameterised braid-equation checks")
     p.add_argument("target", help="s03 or s14")
     p.add_argument("--p", type=int, default=None,
-                   help="power-family exponent for s03 (default: -2)")
+                   help="power-family exponent for s03, in -1000..1000 (default: -2)")
     p.add_argument("--triplet", metavar="V,W,V2,W2,V3,W3", default=None,
                    help="six expressions giving explicit s14 parameter pairs")
     common(p)

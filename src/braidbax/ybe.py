@@ -19,6 +19,7 @@ Conventions fixed here and relied on by the tests:
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -208,10 +209,11 @@ class TensorOps:
     x1 and x2 put the plus projector at sites (1,2) and (2,3); y1 and
     y2 do the same for the minus projector.  An alternative 4x4 plus
     matrix may be supplied to demonstrate how the identities fail for
-    non-projectors.
+    non-projectors.  plan holds the classification of the letter
+    differences once expand_pybe_coefficients has derived it here.
     """
 
-    __slots__ = ("table", "plus", "x1", "x2", "y1", "y2")
+    __slots__ = ("table", "plus", "x1", "x2", "y1", "y2", "plan")
 
     def __init__(self, table: SymbolTable, plus: Optional[SquareMatrix] = None):
         pair = s14_constant_projectors(table)
@@ -221,6 +223,7 @@ class TensorOps:
         self.x2 = embed23(self.plus)
         self.y1 = embed12(pair["minus"])
         self.y2 = embed23(pair["minus"])
+        self.plan = None
 
 
 def _letter_difference(t: TensorOps, triple: str) -> SquareMatrix:
@@ -340,6 +343,39 @@ def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
     return True
 
 
+def _plan(tops: TensorOps) -> tuple:
+    """Classify the 27 elementary letter differences of tops onto the span.
+
+    Returns the (triple, span name, sign) entries of the differences
+    that do not vanish, in triple order, and the span matrices s1, s2,
+    j1, j2.  A failed elementary claim raises ResidualNotInSpan.
+    """
+    diffs = {a + b + c: _letter_difference(tops, a + b + c)
+             for a in "ixy" for b in "ixy" for c in "ixy"}
+    basis = {name: diffs[triple] for name, triple in _BASIS.items()}
+    entries = []
+    for triple, diff in diffs.items():
+        if triple in _NAMED:
+            name, sign = _NAMED[triple], 1
+        elif triple in _ELEMENTARY:
+            name, sign = _ELEMENTARY[triple]
+            if diff != (basis[name] if sign > 0 else -basis[name]):
+                raise ResidualNotInSpan(f"elementary difference {triple} is not {name}")
+        elif diff.is_zero():
+            continue
+        else:
+            raise ResidualNotInSpan(f"elementary difference {triple} should vanish")
+        entries.append((triple, name, sign))
+    return tuple(entries), {name: basis[name] for name in _REDUCTION}
+
+
+@functools.lru_cache(maxsize=None)
+def _default_entries() -> tuple:
+    """The classification for the constant projectors, derived on first use."""
+    entries, _ = _plan(TensorOps(SymbolTable([])))
+    return entries
+
+
 def expand_pybe_coefficients(
     first: tuple, middle: tuple, last: tuple, tops: Optional[TensorOps] = None
 ) -> dict:
@@ -354,6 +390,15 @@ def expand_pybe_coefficients(
     identities, and the four surviving coefficients are checked to
     recompose the residual.  Any failed check raises ResidualNotInSpan.
 
+    The letter differences and the claims about them involve only the
+    constant projectors, never the parameters, so for the default
+    projectors they are derived and checked once per process (over the
+    empty symbol table; a constant identity holds in every table), and
+    for an explicit tops once per instance.  Each call then builds just
+    the four span matrices in its own table, and the recomposition
+    check, which is what ties the coefficients to this triplet's
+    residual, still runs on every call.
+
     The two-factor span is linearly degenerate, j1 + j2 equals
     (s1 - s2)/2, so a bare entrywise linear solve cannot single out
     these coefficients; the formal reduction here does.
@@ -361,23 +406,15 @@ def expand_pybe_coefficients(
     table = first[0].table
     if tops is None:
         tops = TensorOps(table)
-    diffs = {a + b + c: _letter_difference(tops, a + b + c)
-             for a in "ixy" for b in "ixy" for c in "ixy"}
-    basis = {name: diffs[triple] for name, triple in _BASIS.items()}
+        entries = _default_entries()
+        span = {name: _letter_difference(tops, _BASIS[name]) for name in _REDUCTION}
+    else:
+        if tops.plan is None:
+            tops.plan = _plan(tops)
+        entries, span = tops.plan
     weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
     totals = {name: table.zero() for name in _BASIS}
-    for triple, diff in diffs.items():
-        if triple in _NAMED:
-            name, sign = _NAMED[triple], 1
-        elif triple in _ELEMENTARY:
-            name, sign = _ELEMENTARY[triple]
-            if diff != (basis[name] if sign > 0 else -basis[name]):
-                raise ResidualNotInSpan(f"elementary difference {triple} is not {name}")
-        elif diff.is_zero():
-            continue
-        else:
-            raise ResidualNotInSpan(f"elementary difference {triple} should vanish")
-        a, b, c = triple
+    for (a, b, c), name, sign in entries:
         weight = weights[0][a] * weights[1][b] * weights[2][c]
         totals[name] = totals[name] + (weight if sign > 0 else -weight)
     coeffs = {}
@@ -387,7 +424,7 @@ def expand_pybe_coefficients(
         for name, sign in rest:
             collapsed = collapsed + totals[name] if sign > 0 else collapsed - totals[name]
         coeffs[target] = totals[target] + scale * collapsed
-    recomposed = sum((coeffs[name] * basis[name] for name in _REDUCTION),
+    recomposed = sum((coeffs[name] * span[name] for name in _REDUCTION),
                      SquareMatrix.zeros(table, 8))
     if recomposed != s14_pybe_residual(first, middle, last, tops.plus):
         raise ResidualNotInSpan("reduced coefficients fail to recompose the residual")

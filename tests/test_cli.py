@@ -211,6 +211,20 @@ def test_baxterize_s03_odd_power_skips_the_branch_check(capsys):
     assert "overall: ok" in out
 
 
+@pytest.mark.parametrize("p", [1001, -1001])
+def test_baxterize_s03_exponent_beyond_the_limit_is_an_input_error(p, capsys):
+    assert main(["baxterize", "s03", f"--p={p}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: --p must lie in -1000..1000, not {p}\n"
+
+
+@pytest.mark.parametrize("p", [1000, -1000])
+def test_baxterize_s03_exponent_at_the_limit_still_runs(p, capsys):
+    assert main(["baxterize", "s03", f"--p={p}"]) == 0
+    assert "overall: ok" in capsys.readouterr().out
+
+
 def test_baxterize_s14_default(capsys):
     assert main(["baxterize", "s14"]) == 0
     out = capsys.readouterr().out

@@ -1,8 +1,11 @@
 """Braid-relation residuals for both parameterised families."""
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from braidbax import (
     DimensionMismatch,
@@ -32,6 +35,7 @@ from braidbax import (
     s14_pybe_residual,
     verify_frt_relations,
 )
+from braidbax import ybe
 from braidbax.ybe import _expansion_identity_residual, _unit_residual
 
 T = SymbolTable(["x", "y"])
@@ -262,5 +266,129 @@ def test_chain_values_and_pole():
 def test_perturbed_projectors_break_the_span():
     pair = s14_constant_projectors(T)
     fake = TensorOps(T, plus=_bump(pair["plus"]))
-    with pytest.raises(ResidualNotInSpan):
-        expand_pybe_coefficients((X, T.zero()), (X, T.zero()), (X, T.zero()), fake)
+    # a failed classification is not remembered: every call checks again
+    for _ in range(2):
+        with pytest.raises(ResidualNotInSpan):
+            expand_pybe_coefficients((X, T.zero()), (X, T.zero()), (X, T.zero()), fake)
+
+
+# ------------------------------------------------- hoisted letter differences
+
+
+def _per_call_expansion(first, middle, last):
+    """Reference: the expansion with all 27 differences rebuilt in the caller's table."""
+    table = first[0].table
+    tops = TensorOps(table)
+    diffs = {a + b + c: ybe._letter_difference(tops, a + b + c)
+             for a in "ixy" for b in "ixy" for c in "ixy"}
+    basis = {name: diffs[triple] for name, triple in ybe._BASIS.items()}
+    weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
+    totals = {name: table.zero() for name in ybe._BASIS}
+    for triple, diff in diffs.items():
+        if triple in ybe._NAMED:
+            name, sign = ybe._NAMED[triple], 1
+        elif triple in ybe._ELEMENTARY:
+            name, sign = ybe._ELEMENTARY[triple]
+            assert diff == (basis[name] if sign > 0 else -basis[name])
+        else:
+            assert diff.is_zero()
+            continue
+        a, b, c = triple
+        weight = weights[0][a] * weights[1][b] * weights[2][c]
+        totals[name] = totals[name] + (weight if sign > 0 else -weight)
+    coeffs = {}
+    for target, (scale, terms) in ybe._REDUCTION.items():
+        (head, _), *rest = terms
+        collapsed = totals[head]
+        for name, sign in rest:
+            collapsed = collapsed + totals[name] if sign > 0 else collapsed - totals[name]
+        coeffs[target] = totals[target] + scale * collapsed
+    recomposed = sum((coeffs[name] * basis[name] for name in ybe._REDUCTION),
+                     SquareMatrix.zeros(table, 8))
+    assert recomposed == s14_pybe_residual(first, middle, last)
+    return {"a1": coeffs["s1"], "a2": coeffs["s2"], "b1": coeffs["j1"], "b2": coeffs["j2"]}
+
+
+_SMALL = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+@st.composite
+def _triplets(draw):
+    """Three parameter pairs over 0-3 symbols; at most two values are rational."""
+    table = SymbolTable(["a", "b", "c"][:draw(st.integers(0, 3))])
+    symbols = [table.symbol(name) for name in table.names]
+    rational = 0
+    values = []
+    for _ in range(6):
+        value = table.scalar(draw(_SMALL)) + table.scalar(draw(_SMALL)) * table.i()
+        if symbols and draw(st.booleans()):
+            symbol = draw(st.sampled_from(symbols))
+            value = value + draw(st.sampled_from([-2, -1, 1, 3])) * symbol ** draw(st.integers(1, 2))
+            if rational < 2 and draw(st.booleans()):
+                rational += 1
+                value = value / (symbol + draw(st.sampled_from([-3, -1, 1, 2])))
+        values.append(value)
+    return (values[0], values[1]), (values[2], values[3]), (values[4], values[5])
+
+
+@settings(max_examples=20)
+@given(_triplets())
+def test_hoisted_expansion_matches_the_per_call_route(triplet):
+    got = expand_pybe_coefficients(*triplet)
+    want = _per_call_expansion(*triplet)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert (got[key].num, got[key].den) == (want[key].num, want[key].den)
+
+
+def _count_differences(monkeypatch):
+    calls = []
+    real = ybe._letter_difference
+
+    def counting(tops, triple):
+        calls.append(triple)
+        return real(tops, triple)
+
+    monkeypatch.setattr(ybe, "_letter_difference", counting)
+    return calls
+
+
+def test_default_projectors_build_only_the_span_per_call(monkeypatch):
+    pairs = (X, T.zero()), (T.one(), Y), (X, Y)
+    expand_pybe_coefficients(*pairs)
+    calls = _count_differences(monkeypatch)
+    expand_pybe_coefficients(*pairs)
+    assert sorted(calls) == ["iyx", "xii", "xyi", "yii"]
+
+
+def test_explicit_projectors_are_classified_once_per_instance(monkeypatch):
+    calls = _count_differences(monkeypatch)
+    tops = TensorOps(T)
+    pairs = (X, T.zero()), (T.one(), Y), (X, Y)
+    first = expand_pybe_coefficients(*pairs, tops)
+    assert len(calls) == 27
+    second = expand_pybe_coefficients(*pairs, tops)
+    assert len(calls) == 27
+    assert first == second == expand_pybe_coefficients(*pairs)
+
+
+def test_importing_the_module_builds_no_difference():
+    script = "\n".join([
+        "import sys",
+        "calls = []",
+        "def profile(frame, event, arg):",
+        "    if event == 'call' and frame.f_code.co_name == '_letter_difference':",
+        "        calls.append(1)",
+        "sys.setprofile(profile)",
+        "import braidbax.ybe as ybe",
+        "at_import = len(calls)",
+        "from braidbax import SymbolTable",
+        "x = SymbolTable(['x']).symbol('x')",
+        "ybe.expand_pybe_coefficients((x, x), (x, x), (x, x))",
+        "sys.setprofile(None)",
+        "print(at_import, len(calls))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    # the first expansion derives the 27 differences once, then builds the span
+    assert proc.stdout.split() == ["0", "31"]
