@@ -36,7 +36,7 @@ from .ncplane import (
     s03_plane,
     s14_plane,
 )
-from .parser import ParseError, parse
+from .parser import MAX_EXPONENT, ParseError, parse
 from .scalar import PoleError, SymbolTable, UnknownSymbol
 from .spectral import (
     IrreducibleOverSearchSpace,
@@ -62,10 +62,6 @@ __all__ = ["main"]
 Verb = Tuple[List[str], dict, List[Check]]
 
 _COEFFICIENTS = ("a1", "a2", "b1", "b2")
-
-# Largest |p| baxterize s03 accepts: the members' entries grow with |p|,
-# and p = 10000 already takes seconds.
-_MAX_EXPONENT = 1000
 
 
 class InputError(Exception):
@@ -228,8 +224,9 @@ def _run_baxterize(args) -> Verb:
 
 def _baxterize_s03(args) -> Verb:
     p = -2 if args.p is None else args.p
-    if abs(p) > _MAX_EXPONENT:
-        raise InputError(f"--p must lie in -{_MAX_EXPONENT}..{_MAX_EXPONENT}, not {p}")
+    # the members' entries grow with |p|, and p = 10000 already takes seconds
+    if abs(p) > MAX_EXPONENT:
+        raise InputError(f"--p must lie in -{MAX_EXPONENT}..{MAX_EXPONENT}, not {p}")
     x, y = SymbolTable(["x", "y"]).symbols("x", "y")
     checks = [
         _claim("parameterised-braid", lambda: s03_pybe_residual(p, x, y).is_zero(),

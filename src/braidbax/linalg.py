@@ -112,7 +112,7 @@ class SquareMatrix:
         return SquareMatrix(self.table, [[-e for e in row] for row in self.rows])
 
     def _scale(self, factor: Scalar) -> "SquareMatrix":
-        return SquareMatrix(self.table, [[factor * e for e in row]
+        return SquareMatrix(self.table, [[factor * e if e else e for e in row]
                                          for row in self.rows])
 
     def __mul__(self, other):
@@ -190,7 +190,7 @@ class SquareMatrix:
                     if a.is_zero():
                         row.extend([zero] * m)
                     else:
-                        row.extend(a * other.rows[k][l] for l in range(m))
+                        row.extend(a * b if b else zero for b in other.rows[k])
                 rows.append(row)
         return SquareMatrix(self.table, rows)
 

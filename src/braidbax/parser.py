@@ -18,6 +18,13 @@ parses back to an identical stored value.
 Parentheses and unary minus nest at most MAX_DEPTH deep, which keeps
 the recursion far inside the interpreter's limit and far above the few
 levels str(Scalar) prints.
+
+A power of a value with two or more terms in its numerator or
+denominator is bounded: |exponent| times the largest total degree of
+those terms may not exceed MAX_EXPONENT, so '(a+1)^1000' parses and
+'(a+1)^1001' or '((a+1)^40)^40' raise ParseError before any work.  A
+power of one term over one term only scales exponents and stays
+unbounded, so everything str(Scalar) prints still parses back.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ class ParseError(Exception):
 
 
 MAX_DEPTH = 100
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])")
 
@@ -139,7 +147,14 @@ def _unary(cur: _Cursor, table: SymbolTable) -> Scalar:
 def _power(cur: _Cursor, table: SymbolTable) -> Scalar:
     value = _atom(cur, table)
     while cur.take_op("^"):
-        value = value ** _exponent(cur)
+        pos = cur.current()[2]
+        e = _exponent(cur)
+        if len(value.num) > 1 or len(value.den) > 1:
+            degree = abs(e) * max(sum(x) for x in (*value.num, *value.den))
+            if degree > MAX_EXPONENT:
+                raise ParseError(f"power of a sum reaches total degree {degree}, "
+                                 f"beyond the limit {MAX_EXPONENT}", pos)
+        value = value ** e
     return value
 
 

@@ -41,6 +41,15 @@ arithmetic: a one-term value is canonicalised by formulas
 whose factors all have one-term denominators is summed over one common
 denominator and canonicalised once (_dot).
 
+The univariate gcd stays in Z[i][t]: a primitive remainder sequence
+(Collins 1967, Brown 1971) takes each pseudo-remainder's primitive part,
+so the gcd comes out with content one and its leading coefficient in the
+quadrant.  Numerator and denominator are then divided by it exactly: by
+Gauss's lemma the quotients have Gaussian-integer coefficients, so no
+denominators ever appear.  Every coefficient in the layer is an (re, im)
+int pair; Fraction appears only where values enter (SymbolTable.scalar)
+and where they are printed.
+
 SymbolTable.scalar is the one conversion into the field: every int,
 Fraction or Scalar handed to the package passes through it.
 """
@@ -63,70 +72,6 @@ class UnknownSymbol(Exception):
 
 class PoleError(ArithmeticError):
     """Division by an exact zero, or evaluation at a pole."""
-
-
-def _frac_sqrt(f: Fraction) -> Optional[Fraction]:
-    """Exact square root of a non-negative Fraction, or None."""
-    if f < 0:
-        return None
-    rn = math.isqrt(f.numerator)
-    rd = math.isqrt(f.denominator)
-    if rn * rn != f.numerator or rd * rd != f.denominator:
-        return None
-    return Fraction(rn, rd)
-
-
-class _GaussRational:
-    """A complex number with Fraction parts: the univariate Euclid, square
-    roots and printing work in it."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def __sub__(self, o):
-        return _GaussRational(self.re - o.re, self.im - o.im)
-
-    def __mul__(self, o):
-        return _GaussRational(self.re * o.re - self.im * o.im,
-                              self.re * o.im + self.im * o.re)
-
-    def __truediv__(self, o):
-        n = o.re * o.re + o.im * o.im
-        return _GaussRational((self.re * o.re + self.im * o.im) / n,
-                              (self.im * o.re - self.re * o.im) / n)
-
-    def sqrt(self) -> Optional["_GaussRational"]:
-        """The square root and whether it exists in Q(i).
-
-        Of the two roots of a nonzero value, the one returned has
-        positive real part, or zero real part and positive imaginary
-        part.  Returns None when no root exists in Q(i).
-        """
-        c, d = self.re, self.im
-        if not d:
-            if not c:
-                return _GaussRational(0)
-            if c > 0:
-                s = _frac_sqrt(c)
-                return None if s is None else _GaussRational(s)
-            s = _frac_sqrt(-c)
-            return None if s is None else _GaussRational(0, s)
-        r = _frac_sqrt(c * c + d * d)
-        if r is None:
-            return None
-        a = _frac_sqrt((c + r) / 2)
-        if a is None or not a:
-            return None
-        return _GaussRational(a, d / (2 * a))
-
-
-_G_ZERO = _GaussRational(0)
 
 
 class SymbolTable:
@@ -258,12 +203,6 @@ def _pscale(a, h, m):
     return {e: ((r * hr - i * hi) // m, (r * hi + i * hr) // m) for e, (r, i) in a.items()}
 
 
-def _split(z: _GaussRational):
-    """A Gaussian rational as a Gaussian-integer pair over a positive int."""
-    d = math.lcm(z.re.denominator, z.im.denominator)
-    return (z.re.numerator * (d // z.re.denominator), z.im.numerator * (d // z.im.denominator)), d
-
-
 # -- Gaussian-integer gcd on plain (re, im) int pairs --
 
 
@@ -334,71 +273,64 @@ def _normaliser(g, lead):
     return _gmul(h, _quad_unit(_gmul(lead, h))), g[0] * g[0] + g[1] * g[1]
 
 
-# -- dense univariate helpers (ascending _GaussRational coefficient lists) --
+# -- univariate polynomials over Z[i]: {degree: (re, im)}, no zero values --
 
 
-def _utrim(a):
-    while a and not a[-1]:
-        a.pop()
-    return a
+def _primitive(p):
+    # p divided by its content, the leading coefficient rotated into the
+    # quadrant, so that a unit leading coefficient becomes exactly 1
+    h, m = _normaliser(_content(p.values()), p[max(p)])
+    return p if h == (1, 0) and m == 1 else _pscale(p, h, m)
 
 
-def _umod(a, b):
-    a = list(a)
-    nb = len(b)
-    while len(a) >= nb:
-        f = a[-1] / b[-1]
-        if f:
-            off = len(a) - nb
-            for j in range(nb - 1):
-                a[off + j] = a[off + j] - f * b[j]
-        a.pop()
-    return _utrim(a)
+def _divide(a, b):
+    """The quotient and remainder of a by b, for a whose leading
+    coefficient at every step is a multiple of b's."""
+    db = max(b)
+    lc = b[db]
+    m = lc[0] * lc[0] + lc[1] * lc[1]
+    a = dict(a)
+    q = {}
+    for da in range(max(a), db - 1, -1):
+        c = a.pop(da, None)
+        if c is None:
+            continue
+        if lc != (1, 0):
+            c = _gmul(c, (lc[0], -lc[1]))
+            assert not (c[0] % m or c[1] % m), "polynomial division was not exact"
+            c = (c[0] // m, c[1] // m)
+        q[da - db] = c
+        # a -= c * t^(da - db) * b below the cancelled leading term
+        for d, x in b.items():
+            if d != db:
+                e = d + da - db
+                r, i = _gmul(c, x)
+                s = a.get(e)
+                if s is None:
+                    a[e] = (-r, -i)
+                elif s[0] != r or s[1] != i:
+                    a[e] = (s[0] - r, s[1] - i)
+                else:
+                    del a[e]
+    return q, a
 
 
 def _ugcd(a, b):
-    a = _utrim(list(a))
-    b = _utrim(list(b))
-    while b:
-        a, b = b, _umod(a, b)
-    lead = a[-1]
-    if lead.im or lead.re != 1:
-        a = [c / lead for c in a]
-    return a
-
-
-def _uquo(a, b):
-    # exact quotient by a monic divisor
-    a = list(a)
-    q = [_G_ZERO] * (len(a) - len(b) + 1)
-    while len(a) >= len(b):
-        f = a[-1]
-        q[len(a) - len(b)] = f
-        if f:
-            off = len(a) - len(b)
-            for j in range(len(b) - 1):
-                a[off + j] = a[off + j] - f * b[j]
-        a.pop()
-    assert not _utrim(a), "polynomial division was not exact"
-    return q
-
-
-def _dense(poly, k):
-    deg = max(e[k] for e in poly)
-    out = [_G_ZERO] * (deg + 1)
-    for e, c in poly.items():
-        out[e[k]] = _GaussRational(*c)
-    return out
-
-
-def _undense(coeffs, k, n, scale):
-    # the coefficients times scale, which must clear their denominators
-    out = {}
-    for d, c in enumerate(coeffs):
-        if c:
-            key = tuple(d if j == k else 0 for j in range(n))
-            out[key] = ((c.re * scale).numerator, (c.im * scale).numerator)
-    return out
+    """The primitive gcd of two nonzero polynomials, by the primitive
+    remainder sequence."""
+    a, b = _primitive(a), _primitive(b)
+    if max(a) < max(b):
+        a, b = b, a
+    while max(b):
+        lc = b[max(b)]
+        if lc != (1, 0):
+            # the pseudo-remainder: lc^(deg a - deg b + 1)*a divides step by step
+            a = _pscale(a, _gpow(lc, max(a) - max(b) + 1), 1)
+        r = _divide(a, b)[1]
+        if not r:
+            return b
+        a, b = b, _primitive(r)
+    return {0: (1, 0)}
 
 
 def _canonical(n, num, den):
@@ -424,15 +356,15 @@ def _canonical(n, num, den):
         active = [k for k, c in enumerate(cols) if max(c) != mins[k]]
         if len(active) == 1:
             k = active[0]
-            a = _dense(num, k)
-            b = _dense(den, k)
+            a = {e[k]: c for e, c in num.items()}
+            b = {e[k]: c for e, c in den.items()}
             g = _ugcd(a, b)
-            if len(g) > 1:
-                qa = _uquo(a, g)
-                qb = _uquo(b, g)
-                scale = math.lcm(*(_split(c)[1] for c in (*qa, *qb)))
-                num = _undense(qa, k, n, scale)
-                den = _undense(qb, k, n, scale)
+            if max(g):
+                # exact by Gauss's lemma, g being primitive
+                (qa, ra), (qb, rb) = _divide(a, g), _divide(b, g)
+                assert not (ra or rb), "polynomial division was not exact"
+                num = {one_key[:k] + (d,) + one_key[k + 1:]: c for d, c in qa.items()}
+                den = {one_key[:k] + (d,) + one_key[k + 1:]: c for d, c in qb.items()}
 
     if len(den) == 1 and one_key in den:
         return _over_int(one_key, num, den[one_key])
@@ -693,13 +625,24 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
     (de, dc), = value.den.items()
     if any(x % 2 for x in (*ne, *de)):
         return None
-    root = (_GaussRational(*nc) / _GaussRational(*dc)).sqrt()
-    if root is None:
-        return None
-    pair, d = _split(root)
+    # nc/dc = z/m^2 for the Gaussian integer z = nc*conj(dc)*m, m = |dc|^2
+    m = dc[0] * dc[0] + dc[1] * dc[1]
+    c, d = _gmul(nc, (dc[0] * m, -dc[1] * m))
+    if d:
+        r = math.isqrt(c * c + d * d)
+        a = math.isqrt((c + r) // 2) if r * r == c * c + d * d else 0
+        # (a + b*i)^2 = z needs c + r = 2*a^2 and d = 2*a*b
+        if not a or 2 * a * a != c + r or d % (2 * a):
+            return None
+        root = (a, d // (2 * a))
+    else:
+        a = math.isqrt(abs(c))
+        if a * a != abs(c):
+            return None
+        root = (a, 0) if c > 0 else (0, a)
     return Scalar(value.table,
-                  {tuple(x // 2 for x in ne): pair},
-                  {tuple(x // 2 for x in de): (d, 0)})
+                  {tuple(x // 2 for x in ne): root},
+                  {tuple(x // 2 for x in de): (m, 0)})
 
 
 # -- text form -------------------------------------------------------------
@@ -713,29 +656,29 @@ def _imag_str(b: Fraction) -> str:
     return f"{b}*i"
 
 
-def _mixed_str(z: _GaussRational) -> str:
-    sign = " + " if z.im > 0 else " - "
-    return f"{z.re}{sign}{_imag_str(abs(z.im))}"
+def _mixed_str(re: Fraction, im: Fraction) -> str:
+    sign = " + " if im > 0 else " - "
+    return f"{re}{sign}{_imag_str(abs(im))}"
 
 
-def _term_str(names, exps, z: _GaussRational) -> str:
+def _term_str(names, exps, re: Fraction, im: Fraction) -> str:
     mono = "*".join(name if e == 1 else f"{name}^{e}"
                     for name, e in zip(names, exps) if e)
     if not mono:
-        if not z.im:
-            return str(z.re)
-        if not z.re:
-            return _imag_str(z.im)
-        return _mixed_str(z)
-    if not z.im:
-        if z.re == 1:
+        if not im:
+            return str(re)
+        if not re:
+            return _imag_str(im)
+        return _mixed_str(re, im)
+    if not im:
+        if re == 1:
             return mono
-        if z.re == -1:
+        if re == -1:
             return "-" + mono
-        return f"{z.re}*{mono}"
-    if not z.re:
-        return f"{_imag_str(z.im)}*{mono}"
-    return f"({_mixed_str(z)})*{mono}"
+        return f"{re}*{mono}"
+    if not re:
+        return f"{_imag_str(im)}*{mono}"
+    return f"({_mixed_str(re, im)})*{mono}"
 
 
 def _join_terms(pieces: Sequence[str]) -> str:
@@ -750,7 +693,7 @@ def _join_terms(pieces: Sequence[str]) -> str:
 
 def _poly_str(names, poly, d: int) -> str:
     # the int-pair polynomial divided by the positive int d
-    return _join_terms([_term_str(names, e, _GaussRational(Fraction(poly[e][0], d), Fraction(poly[e][1], d)))
+    return _join_terms([_term_str(names, e, Fraction(poly[e][0], d), Fraction(poly[e][1], d))
                         for e in sorted(poly, reverse=True)])
 
 

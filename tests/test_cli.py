@@ -293,6 +293,26 @@ def test_ncplane_bad_parameter_expression(capsys):
     assert "nesting deeper than 100 levels" in err
 
 
+@pytest.mark.parametrize("text, degree", [("(a+1)^1001", 1001), ("((a+1)^40)^40", 1600)])
+def test_ncplane_power_beyond_the_limit_is_an_input_error(text, degree, capsys):
+    assert main(["ncplane", "s03", f"--c={text}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: cannot parse parameter {text!r}: power of a sum reaches total "
+        f"degree {degree}, beyond the limit 1000 (at position {text.rindex('^') + 1})"]
+
+
+def test_analyze_file_power_beyond_the_limit_is_an_input_error(tmp_path, capsys):
+    target = _write_matrix(tmp_path / "power.json", 2, ["x"], [["(x+1)^1001", "0"], ["0", "1"]])
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: {target} does not describe a matrix: power of a sum reaches "
+        "total degree 1001, beyond the limit 1000 (at position 6)"]
+
+
 # ----------------------------------------------------------------- verify-all
 
 

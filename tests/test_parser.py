@@ -66,6 +66,22 @@ def test_nesting_is_bounded():
             parse(text, table)
 
 
+def test_powers_of_sums_are_bounded():
+    table = SymbolTable(["a", "x", "y"])
+    a, x, y = table.symbols("a", "x", "y")
+    # |exponent| times the base's largest total degree reaches 1000 exactly
+    assert len(parse("(a+1)^1000", table).num) == 1001
+    assert parse("(x*y+1)^500", table) == (x * y + 1) ** 500
+    assert parse("(a^2+1)^(-500)", table) == 1 / (a * a + 1) ** 500
+    assert parse("((a+1)^10)^50", table) == (a + 1) ** 500
+    # one term over one term only scales exponents: no bound
+    assert parse("x^20000", table) == x ** 20000
+    assert parse("(2*x/y)^-3000", table) == (2 * x / y) ** -3000
+    for text in ("(a+1)^1001", "(a^2+1)^(-501)", "((a+1)^40)^40", "(x*y+1)^501", "(x/(x+1))^1001"):
+        with pytest.raises(ParseError, match="beyond the limit 1000"):
+            parse(text, table)
+
+
 def test_imaginary_unit_is_reserved():
     table = SymbolTable(["x"])
     assert parse("i*i", table) == table.scalar(-1)

@@ -9,7 +9,6 @@ from hypothesis import given, strategies as st
 
 from braidbax import PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
 from braidbax.scalar import (
-    _GaussRational,
     _canonical,
     _canonical_term,
     _content,
@@ -21,28 +20,6 @@ from braidbax.scalar import (
 )
 
 from conftest import TABLE, nonzero_scalars, scalars, to_sympy
-
-
-# ----------------------------------------------------------- _GaussRational
-
-
-def _parts(z):
-    return None if z is None else (z.re, z.im)
-
-
-def test_gauss_rational_sqrt_branch():
-    # the root with positive real part wins; purely imaginary results
-    # take the positive imaginary branch
-    assert _parts(_GaussRational(4).sqrt()) == (2, 0)
-    assert _parts(_GaussRational(-4).sqrt()) == (0, 2)
-    assert _parts(_GaussRational(0, 2).sqrt()) == (1, 1)
-    assert _parts(_GaussRational(0, -2).sqrt()) == (1, -1)
-    assert _parts(_GaussRational(Fraction(9, 4)).sqrt()) == (Fraction(3, 2), 0)
-
-
-def test_gauss_rational_sqrt_nonsquare():
-    assert _GaussRational(2).sqrt() is None
-    assert _GaussRational(1, 1).sqrt() is None
 
 
 # ------------------------------------------------------------------ tables
@@ -215,6 +192,27 @@ def test_dot_matches_the_step_by_step_sum(laurent_only, data):
     assert _forms(_dot(table, pairs)) == _forms(want)
 
 
+# -------------------------------------------------------- the univariate gcd
+#
+# A value with one active symbol has exactly one canonical form, so a
+# common factor of numerator and denominator must vanish without a trace.
+
+_X = SymbolTable(["x"])
+_gaussian_rationals = st.tuples(st.fractions(-5, 5, max_denominator=4),
+                                st.fractions(-5, 5, max_denominator=4)).filter(any)
+
+
+def _gaussian(table, z):
+    return table.scalar(z[0]) + table.scalar(z[1]) * table.i()
+
+
+@given(nonzero_scalars(names=("x",), table=_X), nonzero_scalars(names=("x",), table=_X),
+       nonzero_scalars(names=("x",), table=_X), _gaussian_rationals)
+def test_common_factors_cancel_to_the_reduced_form(p, q, g, root):
+    g = g * (_X.symbol("x") - _gaussian(_X, root))  # at least one linear factor
+    assert _forms((p * g) / (q * g)) == _forms(p / q)
+
+
 # -------------------------------------------------------------- square roots
 
 
@@ -233,6 +231,7 @@ def test_sqrt_scalar_values():
         assert root is not None and root * root == value
     assert sqrt_scalar(TABLE.scalar(2)) is None
     assert sqrt_scalar(TABLE.scalar(Fraction(-1, 3))) is None
+    assert sqrt_scalar(1 + i) is None
 
 
 def test_sqrt_scalar_constant_branch():
@@ -243,8 +242,23 @@ def test_sqrt_scalar_constant_branch():
     assert str(sqrt_scalar(TABLE.scalar(-4))) == "2*i"
     assert str(sqrt_scalar(2 * i)) == "1 + i"
     assert str(sqrt_scalar(-2 * i)) == "1 - i"
+    assert str(sqrt_scalar(TABLE.scalar(Fraction(9, 4)))) == "3/2"
+    assert str(sqrt_scalar(TABLE.scalar(Fraction(-9, 4)))) == "3/2*i"
     assert sqrt_scalar(TABLE.scalar(2)) is None
     assert sqrt_scalar(1 + i) is None
+
+
+@given(st.data(), _gaussian_rationals)
+def test_sqrt_scalar_of_a_square_takes_the_documented_branch(data, c):
+    table = data.draw(st.sampled_from(_TABLES[:2]))
+    z = _gaussian(table, c)
+    for name in table.names:
+        z = z * table.symbol(name) ** data.draw(st.integers(-3, 3))
+    # the root's coefficient has positive real part, or zero real part
+    # and positive imaginary part
+    re, im = c if c[0] > 0 or (c[0] == 0 and c[1] > 0) else (-c[0], -c[1])
+    want = z if (re, im) == c else -z
+    assert _forms(sqrt_scalar(z * z)) == _forms(want)
 
 
 # -------------------------------------------------------------- substitution
