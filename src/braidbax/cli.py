@@ -37,14 +37,14 @@ from .ncplane import (
     s14_plane,
 )
 from .parser import MAX_EXPONENT, ParseError, parse
-from .scalar import PoleError, SymbolTable, UnknownSymbol
+from .scalar import PoleError, PrintLimitExceeded, SymbolTable, UnknownSymbol
 from .spectral import (
     IrreducibleOverSearchSpace,
     RepeatedRoots,
     find_roots,
     lagrange_projectors,
 )
-from .verify import Check, CheckFailed, Report, run_checks, section_checks
+from .verify import FAULT_TARGETS, Check, CheckFailed, Report, run_checks, section_checks
 from .ybe import (
     TensorOps,
     braid_ybe_residual,
@@ -395,7 +395,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-all", help="run the complete verification suite")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the randomised plumbing section (default: 0)")
-    p.add_argument("--inject-fault", choices=("s03", "s14"), default=None,
+    p.add_argument("--inject-fault", choices=FAULT_TARGETS, default=None,
                    help=argparse.SUPPRESS)
     common(p)
 
@@ -438,7 +438,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except InputError as exc:
+    except (InputError, PrintLimitExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     return 0 if report.holds else 1

@@ -23,12 +23,18 @@ A power of a value with two or more terms in its numerator or
 denominator is bounded: |exponent| times the largest total degree of
 those terms may not exceed MAX_EXPONENT, so '(a+1)^1000' parses and
 '(a+1)^1001' or '((a+1)^40)^40' raise ParseError before any work.  A
-power of one term over one term only scales exponents and stays
-unbounded, so everything str(Scalar) prints still parses back.
+power of one term over one term scales exponents and powers two
+Gaussian-integer coefficients; the coefficients it would reach may not
+exceed MAX_DIGITS decimal digits, the interpreter's default limit for
+printing an int, and neither may an integer literal.  Units never grow,
+so 'i^99999' and 'x^20000' parse, while '2^99999999999' raises
+ParseError without allocating.  str(Scalar) prints no power of a
+number, so everything it prints still parses back.
 """
 
 from __future__ import annotations
 
+import math
 import re
 
 from .scalar import Scalar, SymbolTable
@@ -46,6 +52,7 @@ class ParseError(Exception):
 
 MAX_DEPTH = 100
 MAX_EXPONENT = 1000
+MAX_DIGITS = 4300
 
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])")
 
@@ -154,6 +161,14 @@ def _power(cur: _Cursor, table: SymbolTable) -> Scalar:
             if degree > MAX_EXPONENT:
                 raise ParseError(f"power of a sum reaches total degree {degree}, "
                                  f"beyond the limit {MAX_EXPONENT}", pos)
+        else:
+            # decimal digits a coefficient gains per unit of |e|: log10 of its modulus
+            growth = max((math.log10(re * re + im * im) / 2
+                          for re, im in (*value.num.values(), *value.den.values())),
+                         default=0)
+            if growth and abs(e) > MAX_DIGITS / growth:
+                raise ParseError(f"power of a single term reaches more than "
+                                 f"{MAX_DIGITS} coefficient digits", pos)
         value = value ** e
     return value
 
@@ -172,14 +187,21 @@ def _signed_int(cur: _Cursor) -> int:
     if kind != "int":
         raise ParseError("expected an integer exponent", pos)
     cur.advance()
-    return -int(text) if neg else int(text)
+    return -_int_literal(text, pos) if neg else _int_literal(text, pos)
+
+
+def _int_literal(text: str, pos: int) -> int:
+    if len(text) > MAX_DIGITS:
+        raise ParseError(f"integer literal of {len(text)} digits, "
+                         f"beyond the limit {MAX_DIGITS}", pos)
+    return int(text)
 
 
 def _atom(cur: _Cursor, table: SymbolTable) -> Scalar:
     kind, text, pos = cur.current()
     if kind == "int":
         cur.advance()
-        return table.scalar(int(text))
+        return table.scalar(_int_literal(text, pos))
     if kind == "name":
         cur.advance()
         if text == "i":

@@ -57,6 +57,7 @@ Fraction or Scalar handed to the package passes through it.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
@@ -72,6 +73,10 @@ class UnknownSymbol(Exception):
 
 class PoleError(ArithmeticError):
     """Division by an exact zero, or evaluation at a pole."""
+
+
+class PrintLimitExceeded(Exception):
+    """A value has an int longer than the interpreter converts to text."""
 
 
 class SymbolTable:
@@ -548,7 +553,12 @@ class Scalar:
     # -- rendering --
 
     def __str__(self):
-        return _scalar_str(self)
+        try:
+            return _scalar_str(self)
+        except ValueError:  # raised only by an int longer than sys.get_int_max_str_digits()
+            raise PrintLimitExceeded(
+                "value too long to print: it has an integer of more than "
+                f"{sys.get_int_max_str_digits()} digits") from None
 
     def __repr__(self):
         return f"Scalar({self})"

@@ -187,21 +187,22 @@ def lagrange_projectors(a: SquareMatrix, roots: Sequence[Scalar]) -> ProjectorSe
     return ps
 
 
-def check_diagonalizer(d: SquareMatrix, a: SquareMatrix,
-                       norm_squared) -> SquareMatrix:
+def check_diagonalizer(d: SquareMatrix, a: SquareMatrix) -> SquareMatrix:
     """Conjugate a by the scaled unitary d and insist the result is diagonal.
 
-    d must satisfy d * dagger(d) = norm_squared * I; the returned matrix
-    is (1/norm_squared) * d * a * dagger(d).  Raises ValueError when d
-    is not unitary up to the stated factor and NotDiagonal (with the
-    offending position) when the conjugated matrix is not diagonal.
+    d must satisfy d * dagger(d) = c * I for a nonzero scalar c, which is
+    read off that product; the returned matrix is (1/c) * d * a * dagger(d).
+    Raises ValueError when d is not a nonzero multiple of a unitary and
+    NotDiagonal (with the offending position) when the conjugated matrix
+    is not diagonal.
     """
     table = a.table
-    ns = table.scalar(norm_squared)
-    eye = SquareMatrix.identity(table, a.n)
-    if d * d.dagger() != ns * eye:
-        raise ValueError("matrix is not unitary up to the stated norm factor")
-    conj = (table.one() / ns) * (d * a * d.dagger())
+    dd = d.dagger()
+    gram = d * dd
+    c = gram.rows[0][0]
+    if c.is_zero() or gram != c * SquareMatrix.identity(table, a.n):
+        raise ValueError("matrix is not a nonzero multiple of a unitary")
+    conj = (table.one() / c) * (d * a * dd)
     for i in range(conj.n):
         for j in range(conj.n):
             if i != j and not conj.rows[i][j].is_zero():

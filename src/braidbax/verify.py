@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
-from .cases import s03_constant_projectors, s14_case, s14_constant_projectors
+from .cases import builtin_case, s03_constant_projectors, s14_case, s14_constant_projectors
 from .linalg import (
     SquareMatrix,
     braid,
@@ -181,16 +181,13 @@ def _s14_plus(table: SymbolTable, fault: Optional[str]) -> SquareMatrix:
 
 
 def _sec_minimal_polynomials(seed: int, fault: Optional[str]) -> str:
-    rhat = _braid_for("s03", SymbolTable([]), fault)
-    poly = minimal_polynomial(rhat)
-    _check(str(poly) == "t^2 - 2*t + 2", f"first case minimal polynomial is {poly}")
-    rhat = _braid_for("s14", SymbolTable(["q"]), fault)
-    poly = minimal_polynomial(rhat)
-    _check(
-        str(poly) == "t^3 - t^2 - q^2*t + q^2",
-        f"second case minimal polynomial is {poly}",
-    )
-    return "t^2 - 2*t + 2 and t^3 - t^2 - q^2*t + q^2, as published"
+    published = []
+    for name, ordinal in (("s03", "first"), ("s14", "second")):
+        case = builtin_case(name)
+        poly = minimal_polynomial(_braid_for(name, case.table, fault))
+        _check(poly == case.min_poly, f"{ordinal} case minimal polynomial is {poly}")
+        published.append(str(case.min_poly))
+    return " and ".join(published) + ", as published"
 
 
 def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
@@ -331,14 +328,14 @@ def _sec_inverses_diagonalizers(seed: int, fault: Optional[str]) -> str:
            "one-parameter member does not reproduce the braided built-in")
     _check(rhat_q * s14_member_q(1 / q) == eye,
            "the q and 1/q members are not mutually inverse")
-    diag = check_diagonalizer(builtin("s03_m_diag", table), rhat_q, 2)
+    diag = check_diagonalizer(builtin("s03_m_diag", table), rhat_q)
     want = SquareMatrix(table, [
         [q, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -q],
     ])
     _check(diag == want, "real diagonalizer misses the q, 1, 1, -q spectrum")
     rhat03 = _braid_for("s03", table, fault)
     one, i = table.one(), table.i()
-    diag = check_diagonalizer(builtin("s03_m_prime_unnorm", table), rhat03, 2)
+    diag = check_diagonalizer(builtin("s03_m_prime_unnorm", table), rhat03)
     want = SquareMatrix(table, [
         [one - i, 0, 0, 0], [0, one - i, 0, 0], [0, 0, one + i, 0], [0, 0, 0, one + i],
     ])

@@ -209,11 +209,11 @@ class TensorOps:
     x1 and x2 put the plus projector at sites (1,2) and (2,3); y1 and
     y2 do the same for the minus projector.  An alternative 4x4 plus
     matrix may be supplied to demonstrate how the identities fail for
-    non-projectors.  plan holds the classification of the letter
-    differences once expand_pybe_coefficients has derived it here.
+    non-projectors.  diffs holds each letter difference once built on
+    this instance, and plan their classification once derived.
     """
 
-    __slots__ = ("table", "plus", "x1", "x2", "y1", "y2", "plan")
+    __slots__ = ("table", "plus", "x1", "x2", "y1", "y2", "diffs", "plan")
 
     def __init__(self, table: SymbolTable, plus: Optional[SquareMatrix] = None):
         pair = s14_constant_projectors(table)
@@ -223,20 +223,25 @@ class TensorOps:
         self.x2 = embed23(self.plus)
         self.y1 = embed12(pair["minus"])
         self.y2 = embed23(pair["minus"])
+        self.diffs = {}
         self.plan = None
 
 
 def _letter_difference(t: TensorOps, triple: str) -> SquareMatrix:
-    """D(A,B,C) = A_(12) B_(23) C_(12) - C_(23) B_(12) A_(23).
+    """D(A,B,C) = A_(12) B_(23) C_(12) - C_(23) B_(12) A_(23), built once per t.
 
     The letters i, x, y of the triple name the identity, the plus and
     the minus projector.
     """
-    eye = SquareMatrix.identity(t.table, 8)
-    slot12 = {"i": eye, "x": t.x1, "y": t.y1}
-    slot23 = {"i": eye, "x": t.x2, "y": t.y2}
-    a, b, c = triple
-    return slot12[a] * slot23[b] * slot12[c] - slot23[c] * slot12[b] * slot23[a]
+    diff = t.diffs.get(triple)
+    if diff is None:
+        eye = SquareMatrix.identity(t.table, 8)
+        slot12 = {"i": eye, "x": t.x1, "y": t.y1}
+        slot23 = {"i": eye, "x": t.x2, "y": t.y2}
+        a, b, c = triple
+        diff = slot12[a] * slot23[b] * slot12[c] - slot23[c] * slot12[b] * slot23[a]
+        t.diffs[triple] = diff
+    return diff
 
 
 # The twelve product combinations the residual expands over, each the
@@ -292,35 +297,6 @@ def reduction_identity_residuals(basis: dict) -> dict:
     return residuals
 
 
-def _expansion_identity_residual(
-    t: TensorOps, first: tuple, middle: tuple, last: tuple
-) -> SquareMatrix:
-    """Residual minus its twelve-term combination expansion; identically zero.
-
-    The expansion is linear in each slot's parameters, so checking it
-    on six independent symbols checks it everywhere.
-    """
-    v, w = first
-    vp, wp = middle
-    vpp, wpp = last
-    b = combination_basis(t)
-    expected = (
-        (v + vpp + v * vpp - vp) * b["s1"]
-        + (w + wpp + w * wpp - wp) * b["s2"]
-        + (v * vp * vpp) * b["s5"]
-        + (w * wp * wpp) * b["s6"]
-        + (v * wp - vp * w) * b["j1"]
-        + (vpp * wp - vp * wpp) * b["j2"]
-        + (v * vp * wpp) * b["k1"]
-        + (v * wp * vpp) * b["k2"]
-        + (w * vp * vpp) * b["k3"]
-        + (w * wp * vpp) * b["l1"]
-        + (w * vp * wpp) * b["l2"]
-        + (v * wp * wpp) * b["l3"]
-    )
-    return s14_pybe_residual(first, middle, last, t.plus) - expected
-
-
 def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
     """Projector exchange across braid products, both slots, both powers.
 
@@ -347,33 +323,40 @@ def _plan(tops: TensorOps) -> tuple:
     """Classify the 27 elementary letter differences of tops onto the span.
 
     Returns the (triple, span name, sign) entries of the differences
-    that do not vanish, in triple order, and the span matrices s1, s2,
-    j1, j2.  A failed elementary claim raises ResidualNotInSpan.
+    that do not vanish, in triple order, and keeps them on tops.  A
+    failed elementary claim raises ResidualNotInSpan and is not kept,
+    so the next call checks again.
     """
+    if tops.plan is not None:
+        return tops.plan
     diffs = {a + b + c: _letter_difference(tops, a + b + c)
              for a in "ixy" for b in "ixy" for c in "ixy"}
-    basis = {name: diffs[triple] for name, triple in _BASIS.items()}
     entries = []
     for triple, diff in diffs.items():
         if triple in _NAMED:
             name, sign = _NAMED[triple], 1
         elif triple in _ELEMENTARY:
             name, sign = _ELEMENTARY[triple]
-            if diff != (basis[name] if sign > 0 else -basis[name]):
+            span = diffs[_BASIS[name]]
+            if diff != (span if sign > 0 else -span):
                 raise ResidualNotInSpan(f"elementary difference {triple} is not {name}")
         elif diff.is_zero():
             continue
         else:
             raise ResidualNotInSpan(f"elementary difference {triple} should vanish")
         entries.append((triple, name, sign))
-    return tuple(entries), {name: basis[name] for name in _REDUCTION}
+    tops.plan = tuple(entries)
+    return tops.plan
 
 
 @functools.lru_cache(maxsize=None)
 def _default_entries() -> tuple:
-    """The classification for the constant projectors, derived on first use."""
-    entries, _ = _plan(TensorOps(SymbolTable([])))
-    return entries
+    """The classification for the constant projectors, derived on first use.
+
+    It runs over a throwaway TensorOps of the empty symbol table (a
+    constant identity holds in every table), so no matrix outlives it.
+    """
+    return _plan(TensorOps(SymbolTable([])))
 
 
 def expand_pybe_coefficients(
@@ -390,28 +373,24 @@ def expand_pybe_coefficients(
     identities, and the four surviving coefficients are checked to
     recompose the residual.  Any failed check raises ResidualNotInSpan.
 
-    The letter differences and the claims about them involve only the
-    constant projectors, never the parameters, so for the default
-    projectors they are derived and checked once per process (over the
-    empty symbol table; a constant identity holds in every table), and
-    for an explicit tops once per instance.  Each call then builds just
-    the four span matrices in its own table, and the recomposition
-    check, which is what ties the coefficients to this triplet's
-    residual, still runs on every call.
+    There is one route.  The classified entries come from _plan: for
+    the default projectors once per process (_default_entries), for an
+    explicit tops once per instance.  The letter differences and the
+    claims about them involve only the projectors, never the
+    parameters, so the entries hold for every triplet.  The span
+    matrices s1, s2, j1, j2 are the four differences of the TensorOps
+    in the caller's table (a fresh one for the default projectors), and
+    the recomposition check, which is what ties the coefficients to
+    this triplet's residual, runs on every call.
 
     The two-factor span is linearly degenerate, j1 + j2 equals
     (s1 - s2)/2, so a bare entrywise linear solve cannot single out
     these coefficients; the formal reduction here does.
     """
     table = first[0].table
+    entries = _default_entries() if tops is None else _plan(tops)
     if tops is None:
         tops = TensorOps(table)
-        entries = _default_entries()
-        span = {name: _letter_difference(tops, _BASIS[name]) for name in _REDUCTION}
-    else:
-        if tops.plan is None:
-            tops.plan = _plan(tops)
-        entries, span = tops.plan
     weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
     totals = {name: table.zero() for name in _BASIS}
     for (a, b, c), name, sign in entries:
@@ -424,8 +403,8 @@ def expand_pybe_coefficients(
         for name, sign in rest:
             collapsed = collapsed + totals[name] if sign > 0 else collapsed - totals[name]
         coeffs[target] = totals[target] + scale * collapsed
-    recomposed = sum((coeffs[name] * span[name] for name in _REDUCTION),
-                     SquareMatrix.zeros(table, 8))
+    recomposed = sum((coeffs[name] * _letter_difference(tops, _BASIS[name])
+                      for name in _REDUCTION), SquareMatrix.zeros(table, 8))
     if recomposed != s14_pybe_residual(first, middle, last, tops.plus):
         raise ResidualNotInSpan("reduced coefficients fail to recompose the residual")
     return {"a1": coeffs["s1"], "a2": coeffs["s2"], "b1": coeffs["j1"], "b2": coeffs["j2"]}

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings, strategies as st
 
-from braidbax import SquareMatrix, SymbolTable
+from braidbax import SquareMatrix, SymbolTable, combination_basis, ybe
 from braidbax.verify import run_all
 
 settings.register_profile("exact", deadline=None, derandomize=True, max_examples=50)
@@ -58,6 +58,50 @@ def to_sympy(value):
     names = {name: sympy.Symbol(name) for name in value.table.names}
     names["I"] = sympy.I
     return parse_expr(str(value).replace("^", "**").replace("i", "I"), local_dict=names)
+
+
+def expansion_by_plan(tops, first, middle, last):
+    """The sum of sign * w_a * w'_b * w''_c * basis[name] over ybe._plan(tops).
+
+    The residual is multilinear in the three slots, so this test-side sum
+    over the classified letter triples must equal it exactly.
+    """
+    table = tops.table
+    basis = combination_basis(tops)
+    weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
+    total = SquareMatrix.zeros(table, 8)
+    for (a, b, c), name, sign in ybe._plan(tops):
+        total = total + (sign * weights[0][a] * weights[1][b] * weights[2][c]) * basis[name]
+    return total
+
+
+def count_difference_builds(monkeypatch):
+    """Record each ybe._letter_difference call and each letter-difference build.
+
+    Building a difference constructs one 8x8 identity, so each such
+    construction counts as a build, filed under the triple being asked
+    for (None when no _letter_difference call is under way).
+    """
+    calls, built, asking = [], [], [None]
+    real_difference = ybe._letter_difference
+    real_identity = SquareMatrix.identity.__func__
+
+    def difference(tops, triple):
+        calls.append(triple)
+        asking.append(triple)
+        try:
+            return real_difference(tops, triple)
+        finally:
+            asking.pop()
+
+    def identity(cls, table, n):
+        if n == 8:
+            built.append(asking[-1])
+        return real_identity(cls, table, n)
+
+    monkeypatch.setattr(ybe, "_letter_difference", difference)
+    monkeypatch.setattr(SquareMatrix, "identity", classmethod(identity))
+    return calls, built
 
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")

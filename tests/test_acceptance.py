@@ -46,7 +46,8 @@ from braidbax import (
     TensorOps,
 )
 from braidbax.ncplane import _wz_relations
-from braidbax.ybe import _expansion_identity_residual
+
+from conftest import expansion_by_plan
 
 HALF = Fraction(1, 2)
 
@@ -152,7 +153,8 @@ def test_criterion_6_combination_identities():
     v, w, vp, wp, vpp, wpp = free.symbols("v", "w", "vp", "wp", "vpp", "wpp")
     tops = TensorOps(free)
     first, middle, last = (v, w), (vp, wp), (vpp, wpp)
-    assert _expansion_identity_residual(tops, first, middle, last).is_zero()
+    # the residual is the signed sum over the classified letter triples
+    assert expansion_by_plan(tops, first, middle, last) == s14_pybe_residual(first, middle, last)
     # the reduced coefficients match their closed formulas in six symbols
     got = expand_pybe_coefficients(first, middle, last, tops)
     want = pybe_coefficient_formulas(first, middle, last)
@@ -203,7 +205,7 @@ def test_criterion_7_inverses_and_diagonalizers():
         [[q, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, -q]],
     )
     assert m_diag * rhat_q * m_diag.transpose() == 2 * want_q
-    assert check_diagonalizer(m_diag, rhat_q, 2) == want_q
+    assert check_diagonalizer(m_diag, rhat_q) == want_q
     # the complex diagonalizer takes the constant matrix to its eigenvalues
     i = table.i()
     rhat03 = braid(builtin("s03_r", table))
@@ -213,7 +215,7 @@ def test_criterion_7_inverses_and_diagonalizers():
         [[1 - i, 0, 0, 0], [0, 1 - i, 0, 0], [0, 0, 1 + i, 0], [0, 0, 0, 1 + i]],
     )
     assert m_prime * rhat03 * m_prime.dagger() == 2 * want_03
-    assert check_diagonalizer(m_prime, rhat03, 2) == want_03
+    assert check_diagonalizer(m_prime, rhat03) == want_03
 
 
 def test_criterion_8_noncommutative_planes():

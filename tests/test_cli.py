@@ -313,6 +313,42 @@ def test_analyze_file_power_beyond_the_limit_is_an_input_error(tmp_path, capsys)
         "total degree 1001, beyond the limit 1000 (at position 6)"]
 
 
+_HUGE = [
+    (["ncplane", "s03", "--c=99^2200"],
+     "input error: cannot parse parameter '99^2200': power of a single term reaches "
+     "more than 4300 coefficient digits (at position 3)"),
+    (["ncplane", "s03", "--c=2^99999999999"],
+     "input error: cannot parse parameter '2^99999999999': power of a single term "
+     "reaches more than 4300 coefficient digits (at position 2)"),
+    (["baxterize", "s14", "--triplet=2^20000,0,1,0,1,0"],
+     "input error: cannot parse parameter '2^20000': power of a single term reaches "
+     "more than 4300 coefficient digits (at position 2)"),
+    (["ncplane", "s03", "--c=(99^1200)*(99^1200)"],
+     "input error: value too long to print: it has an integer of more than 4300 digits"),
+    (["ncplane", "s03", "--c=" + "9" * 5000],
+     f"input error: cannot parse parameter '{'9' * 5000}': integer literal of 5000 "
+     "digits, beyond the limit 4300 (at position 0)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _HUGE)
+def test_huge_coefficients_are_input_errors(argv, message, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+def test_analyze_file_huge_coefficient_is_an_input_error(tmp_path, capsys):
+    target = _write_matrix(tmp_path / "huge.json", 1, [], [["7^6000"]])
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: {target} does not describe a matrix: power of a single term "
+        "reaches more than 4300 coefficient digits (at position 2)"]
+
+
 # ----------------------------------------------------------------- verify-all
 
 

@@ -82,6 +82,31 @@ def test_powers_of_sums_are_bounded():
             parse(text, table)
 
 
+def test_powers_of_one_term_are_bounded_by_coefficient_digits():
+    table = SymbolTable(["x"])
+    x, i = table.symbol("x"), table.i()
+    # units and bare symbols never grow, whatever the exponent
+    assert parse("i^99999", table) == -i
+    assert parse("(-1)^100001", table) == table.scalar(-1)
+    assert parse("(-i*x)^-20000", table) == 1 / x ** 20000
+    assert parse("x^20000", table) == x ** 20000
+    assert parse("x^99999999999", table).num == {(99999999999,): (1, 0)}
+    # 2^14284 has 4300 digits, 2^14285 one more
+    assert parse("2^14284", table) == table.scalar(2 ** 14284)
+    for text in ("2^14285", "99^2200", "(x/3)^-9100", "(1+i)^28600", "2^99999999999"):
+        with pytest.raises(ParseError, match="more than 4300 coefficient digits"):
+            parse(text, table)
+
+
+def test_integer_literals_are_bounded():
+    table = SymbolTable([])
+    assert parse("9" * 4300, table) == table.scalar(10 ** 4300 - 1)
+    with pytest.raises(ParseError, match="integer literal of 4301 digits, beyond the limit 4300"):
+        parse("9" * 4301, table)
+    with pytest.raises(ParseError, match="integer literal of 5000 digits"):
+        parse("x^" + "1" * 5000, SymbolTable(["x"]))
+
+
 def test_imaginary_unit_is_reserved():
     table = SymbolTable(["x"])
     assert parse("i*i", table) == table.scalar(-1)

@@ -8,7 +8,7 @@ import pytest
 from braidbax import Report, SquareMatrix, SymbolTable, run_all, verify
 from braidbax.verify import _random_scalar, run_checks, section_checks
 
-from conftest import golden, without_elapsed
+from conftest import count_difference_builds, golden, without_elapsed
 
 SECTION_ORDER = (
     "minimal-polynomials",
@@ -95,6 +95,13 @@ def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
             "second braided matrix fails the first collapse stage in free coefficients",
         "s03-baxterisation": "first collapse stage fails in free coefficients",
     }
+
+
+def test_s14_section_builds_each_letter_difference_once(monkeypatch):
+    _, built = count_difference_builds(monkeypatch)
+    assert verify._sec_s14_combinations(0, None)
+    assert len(built) == 27
+    assert sorted(built) == sorted(a + b + c for a in "ixy" for b in "ixy" for c in "ixy")
 
 
 def test_unknown_fault_target_is_rejected():

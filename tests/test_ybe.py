@@ -36,7 +36,9 @@ from braidbax import (
     verify_frt_relations,
 )
 from braidbax import ybe
-from braidbax.ybe import _expansion_identity_residual, _unit_residual
+from braidbax.ybe import _unit_residual
+
+from conftest import count_difference_builds, expansion_by_plan
 
 T = SymbolTable(["x", "y"])
 X, Y = T.symbols("x", "y")
@@ -205,8 +207,11 @@ def test_reduction_identities_need_honest_projectors():
 def test_expansion_identity_in_six_symbols():
     free = SymbolTable(["v", "w", "vp", "wp", "vpp", "wpp"])
     v, w, vp, wp, vpp, wpp = free.symbols("v", "w", "vp", "wp", "vpp", "wpp")
+    first, middle, last = (v, w), (vp, wp), (vpp, wpp)
     tops = TensorOps(free)
-    assert _expansion_identity_residual(tops, (v, w), (vp, wp), (vpp, wpp)).is_zero()
+    assert expansion_by_plan(tops, first, middle, last) == s14_pybe_residual(first, middle, last)
+    # the twelve classified names are exactly the combination basis
+    assert {name for _, name, _ in ybe._plan(tops)} == set(combination_basis(tops))
 
 
 def test_exchange_relations_hold_for_family_members():
@@ -341,34 +346,24 @@ def test_hoisted_expansion_matches_the_per_call_route(triplet):
         assert (got[key].num, got[key].den) == (want[key].num, want[key].den)
 
 
-def _count_differences(monkeypatch):
-    calls = []
-    real = ybe._letter_difference
-
-    def counting(tops, triple):
-        calls.append(triple)
-        return real(tops, triple)
-
-    monkeypatch.setattr(ybe, "_letter_difference", counting)
-    return calls
-
-
 def test_default_projectors_build_only_the_span_per_call(monkeypatch):
     pairs = (X, T.zero()), (T.one(), Y), (X, Y)
     expand_pybe_coefficients(*pairs)
-    calls = _count_differences(monkeypatch)
+    calls, built = count_difference_builds(monkeypatch)
     expand_pybe_coefficients(*pairs)
-    assert sorted(calls) == ["iyx", "xii", "xyi", "yii"]
+    assert sorted(calls) == sorted(built) == ["iyx", "xii", "xyi", "yii"]
 
 
 def test_explicit_projectors_are_classified_once_per_instance(monkeypatch):
-    calls = _count_differences(monkeypatch)
+    calls, built = count_difference_builds(monkeypatch)
     tops = TensorOps(T)
     pairs = (X, T.zero()), (T.one(), Y), (X, Y)
     first = expand_pybe_coefficients(*pairs, tops)
-    assert len(calls) == 27
+    # 27 to classify, then the 4 span matrices read back from the memo
+    assert (len(calls), len(built)) == (31, 27)
+    assert sorted(built) == sorted(tops.diffs)
     second = expand_pybe_coefficients(*pairs, tops)
-    assert len(calls) == 27
+    assert (len(calls), len(built)) == (35, 27)
     assert first == second == expand_pybe_coefficients(*pairs)
 
 
@@ -377,7 +372,8 @@ def test_importing_the_module_builds_no_difference():
         "import sys",
         "calls = []",
         "def profile(frame, event, arg):",
-        "    if event == 'call' and frame.f_code.co_name == '_letter_difference':",
+        "    code = frame.f_code.co_name",
+        "    if event == 'call' and code == 'identity' and frame.f_locals['n'] == 8:",
         "        calls.append(1)",
         "sys.setprofile(profile)",
         "import braidbax.ybe as ybe",
@@ -390,5 +386,5 @@ def test_importing_the_module_builds_no_difference():
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # the first expansion derives the 27 differences once, then builds the span
+    # the first expansion builds the 27 differences once, then the span in x's table
     assert proc.stdout.split() == ["0", "31"]
