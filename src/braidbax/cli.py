@@ -61,8 +61,6 @@ __all__ = ["main"]
 # What each verb hands to main: header lines, extra JSON fields, checks.
 Verb = Tuple[List[str], dict, List[Check]]
 
-_COEFFICIENTS = ("a1", "a2", "b1", "b2")
-
 
 class InputError(Exception):
     """The input file or a parameter expression cannot be used."""
@@ -73,6 +71,16 @@ class UsageError(Exception):
 
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+# the longest piece of an input that a one-line message quotes
+_EXCERPT = 60
+
+
+def _excerpt(text: str, show: Callable[[str], str] = repr) -> str:
+    """show(text), or show() of its first _EXCERPT characters and its length."""
+    if len(text) <= _EXCERPT:
+        return show(text)
+    return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
 def _parse_parameters(texts: List[str]) -> list:
@@ -87,7 +95,7 @@ def _parse_parameters(texts: List[str]) -> list:
         try:
             values.append(parse(text, table))
         except (ParseError, UnknownSymbol, PoleError) as exc:
-            raise InputError(f"cannot parse parameter {text!r}: {exc}") from exc
+            raise InputError(f"cannot parse parameter {_excerpt(text)}: {exc}") from exc
     return values
 
 
@@ -97,7 +105,7 @@ def _load_matrix(path: str) -> SquareMatrix:
             obj = json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # also an int beyond the interpreter's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         matrix = matrix_from_obj(obj)
@@ -116,7 +124,7 @@ def _target_kind(target: str) -> Tuple[str, str]:
         return "builtin", lowered
     if target.startswith("file:"):
         return "file", target[5:]
-    raise UsageError(f"target must be s03, s14, or file:PATH, not {target!r}")
+    raise UsageError(f"target must be s03, s14, or file:PATH, not {_excerpt(target)}")
 
 
 def _claim(name: str, predicate: Callable[[], bool], detail: str) -> Check:
@@ -226,7 +234,8 @@ def _baxterize_s03(args) -> Verb:
     p = -2 if args.p is None else args.p
     # the members' entries grow with |p|, and p = 10000 already takes seconds
     if abs(p) > MAX_EXPONENT:
-        raise InputError(f"--p must lie in -{MAX_EXPONENT}..{MAX_EXPONENT}, not {p}")
+        raise InputError(f"--p must lie in -{MAX_EXPONENT}..{MAX_EXPONENT}, "
+                         f"not {_excerpt(str(p), str)}")
     x, y = SymbolTable(["x", "y"]).symbols("x", "y")
     checks = [
         _claim("parameterised-braid", lambda: s03_pybe_residual(p, x, y).is_zero(),
@@ -252,18 +261,18 @@ def _baxterize_s14_triplet(triplet: str) -> Verb:
     closed = pybe_coefficient_formulas(*pairs)
     checks = [
         _claim("expansion-coefficients",
-               lambda: all(coeffs[k] == closed[k] for k in _COEFFICIENTS),
+               lambda: all(coeffs[k] == closed[k] for k in coeffs),
                "expanded residual coefficients equal their closed forms"),
-        _claim("residual-zero", lambda: all(coeffs[k].is_zero() for k in _COEFFICIENTS),
+        _claim("residual-zero", lambda: all(c.is_zero() for c in coeffs.values()),
                "the three supplied members satisfy the parameterised braid equation"),
     ]
     fields = {
         "target": "s14",
         "triplet": [[str(v), str(w)] for v, w in pairs],
-        "coefficients": {k: str(coeffs[k]) for k in _COEFFICIENTS},
+        "coefficients": {k: str(c) for k, c in coeffs.items()},
     }
     header = ["baxterize s14", "coefficients:"]
-    header.extend(f"  {k} = {fields['coefficients'][k]}" for k in _COEFFICIENTS)
+    header.extend(f"  {k} = {text}" for k, text in fields["coefficients"].items())
     return header, fields, checks
 
 
@@ -276,7 +285,7 @@ def _baxterize_s14_free() -> Verb:
     def formulas_match() -> bool:
         coeffs = expand_pybe_coefficients(*pairs)
         closed = pybe_coefficient_formulas(*pairs)
-        return all(coeffs[k] == closed[k] for k in _COEFFICIENTS)
+        return all(coeffs[k] == closed[k] for k in coeffs)
 
     checks = [
         _claim("triplet-free-braid",

@@ -4,8 +4,9 @@ SquareMatrix is immutable and stores every entry as a Scalar over one
 shared SymbolTable.  Products skip exactly-zero entries, which keeps the
 8x8 symbolic residual computations elsewhere in this package fast.  The
 module also houses the built-in 4x4 matrices the rest of the package
-analyzes, a univariate polynomial type for minimal polynomials, and a
-bit-exact JSON form for matrices.
+analyzes, a univariate polynomial type for minimal polynomials (printed
+in t through the scalar layer's term printer), and a bit-exact JSON form
+for matrices.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _dot, _join_terms, _power
+from .scalar import Scalar, SymbolTable, _dot, _join_terms, _power, _signed_term
 
 __all__ = [
     "DimensionMismatch",
@@ -170,8 +171,8 @@ class SquareMatrix:
         zero = self.table.zero()
         aug = [list(row) + [one if i == j else zero for j in range(n)]
                for i, row in enumerate(self.rows)]
-        reduced, pivots = rref(aug, pivot_cols=n)
-        if pivots != list(range(n)):
+        reduced, pivots = rref(aug)
+        if pivots[:n] != list(range(n)):
             raise SingularMatrix("matrix has no inverse over the field")
         return SquareMatrix(self.table, [row[n:] for row in reduced])
 
@@ -194,14 +195,8 @@ class SquareMatrix:
                 rows.append(row)
         return SquareMatrix(self.table, rows)
 
-    def substitute(self, bindings: Mapping[str, object]) -> "SquareMatrix":
-        return SquareMatrix(self.table,
-                            [[e.substitute(bindings) for e in row]
-                             for row in self.rows])
 
-
-def rref(rows: Sequence[Sequence[Scalar]],
-         pivot_cols: Optional[int] = None) -> Tuple[List[List[Scalar]], List[int]]:
+def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
     """Reduced row echelon form over the exact field.
 
     Pivots are chosen as the first nonzero entry in scan order, which is
@@ -212,11 +207,9 @@ def rref(rows: Sequence[Sequence[Scalar]],
     work = [list(r) for r in rows]
     if not work:
         return work, []
-    width = len(work[0])
-    limit = width if pivot_cols is None else pivot_cols
     pivots: List[int] = []
     r = 0
-    for col in range(limit):
+    for col in range(len(work[0])):
         pr = next((k for k in range(r, len(work)) if not work[k][col].is_zero()), None)
         if pr is None:
             continue
@@ -264,9 +257,6 @@ class UnivariatePoly:
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
@@ -286,26 +276,12 @@ class UnivariatePoly:
         return total
 
     def __str__(self):
-        return _join_terms([_poly_term_str(self.coeffs[d], d)
-                            for d in range(len(self.coeffs) - 1, -1, -1)
-                            if not self.coeffs[d].is_zero()])
+        return _join_terms([_signed_term(str(c), "" if d == 0 else "t" if d == 1 else f"t^{d}")
+                            for d, c in reversed(list(enumerate(self.coeffs)))
+                            if not c.is_zero()])
 
     def __repr__(self):
         return f"UnivariatePoly({self})"
-
-
-def _poly_term_str(c: Scalar, d: int) -> str:
-    mono = "t" if d == 1 else f"t^{d}"
-    if d == 0:
-        return str(c)
-    if c == 1:
-        return mono
-    if c == -1:
-        return "-" + mono
-    cs = str(c)
-    if " + " in cs or " - " in cs:
-        cs = f"({cs})"
-    return f"{cs}*{mono}"
 
 
 def minimal_polynomial(a: SquareMatrix) -> UnivariatePoly:

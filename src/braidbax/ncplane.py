@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 from .cases import s03_constant_projectors, s14_constant_projectors
 from .linalg import SquareMatrix, _row_space
-from .scalar import Scalar, SymbolTable, _join_terms
+from .scalar import Scalar, SymbolTable, _join_terms, _signed_term
 
 __all__ = [
     "ConsistencyFailure",
@@ -49,16 +49,11 @@ _MIXED_RIGHT = ("xi1*x1", "xi1*x2", "xi2*x1", "xi2*x2")
 
 def _term_str(coeff: Scalar, monomial: str) -> str:
     s = str(coeff)
-    if " + " in s or " - " in s:
-        return f"({s})*{monomial}"
-    sign = ""
-    if s.startswith("-"):
-        sign, s = "-", s[1:]
-    if s == "1":
-        return sign + monomial
-    if "/" in s:
-        return f"{sign}({s})*{monomial}"
-    return f"{sign}{s}*{monomial}"
+    if "/" in s and " + " not in s and " - " not in s:
+        # plane lines parenthesise a bare quotient: -(1/2)*xi1*x1
+        sign = "-" if s.startswith("-") else ""
+        s = f"{sign}({s[len(sign):]})"
+    return _signed_term(s, monomial)
 
 
 def _combo_str(coeffs: Sequence[Scalar], monomials: Sequence[str]) -> str:

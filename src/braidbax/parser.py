@@ -26,9 +26,11 @@ those terms may not exceed MAX_EXPONENT, so '(a+1)^1000' parses and
 power of one term over one term scales exponents and powers two
 Gaussian-integer coefficients; the coefficients it would reach may not
 exceed MAX_DIGITS decimal digits, the interpreter's default limit for
-printing an int, and neither may an integer literal.  Units never grow,
-so 'i^99999' and 'x^20000' parse, while '2^99999999999' raises
-ParseError without allocating.  str(Scalar) prints no power of a
+printing an int, and neither may an integer literal; when the
+interpreter's own limit (sys.get_int_max_str_digits) is lower, that
+limit bounds both instead.  Units never grow, so 'i^99999' and
+'x^20000' parse, while '2^99999999999' raises ParseError without
+allocating.  str(Scalar) prints no power of a
 number, so everything it prints still parses back.
 """
 
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 
 from .scalar import Scalar, SymbolTable
 
@@ -166,9 +169,10 @@ def _power(cur: _Cursor, table: SymbolTable) -> Scalar:
             growth = max((math.log10(re * re + im * im) / 2
                           for re, im in (*value.num.values(), *value.den.values())),
                          default=0)
-            if growth and abs(e) > MAX_DIGITS / growth:
+            limit = _digit_limit()
+            if growth and abs(e) > limit / growth:
                 raise ParseError(f"power of a single term reaches more than "
-                                 f"{MAX_DIGITS} coefficient digits", pos)
+                                 f"{limit} coefficient digits", pos)
         value = value ** e
     return value
 
@@ -190,10 +194,16 @@ def _signed_int(cur: _Cursor) -> int:
     return -_int_literal(text, pos) if neg else _int_literal(text, pos)
 
 
+def _digit_limit() -> int:
+    # MAX_DIGITS, or the interpreter's int-printing limit when lower (0 sets none)
+    return min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)
+
+
 def _int_literal(text: str, pos: int) -> int:
-    if len(text) > MAX_DIGITS:
+    limit = _digit_limit()
+    if len(text) > limit:
         raise ParseError(f"integer literal of {len(text)} digits, "
-                         f"beyond the limit {MAX_DIGITS}", pos)
+                         f"beyond the limit {limit}", pos)
     return int(text)
 
 

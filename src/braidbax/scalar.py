@@ -52,6 +52,10 @@ and where they are printed.
 
 SymbolTable.scalar is the one conversion into the field: every int,
 Fraction or Scalar handed to the package passes through it.
+
+_signed_term is the one term printer: every term of a printed scalar
+(its re + i*im coefficient included), minimal polynomial or plane
+relation drops 1 and parenthesises a sum by its one rule.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import chain
 from operator import add, sub
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 __all__ = ["PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
 
@@ -532,24 +536,6 @@ class Scalar:
 
     __hash__ = None  # equality is by value across representations
 
-    # -- evaluation --
-
-    def substitute(self, bindings: Mapping[str, object]) -> "Scalar":
-        """Replace some symbols by values; hitting an exact pole raises.
-
-        Values may be ints, Fractions, or Scalars over the same table.
-        Unbound symbols stay symbolic.
-        """
-        table = self.table
-        vals = list(table.symbols(*table.names))
-        for name, value in bindings.items():
-            vals[table.index(name)] = table.scalar(value)
-        num = _eval_poly(table, self.num, vals)
-        den = _eval_poly(table, self.den, vals)
-        if den.is_zero():
-            raise PoleError("substitution hits a pole of the value")
-        return num / den
-
     # -- rendering --
 
     def __str__(self):
@@ -608,18 +594,6 @@ def _dot(table: SymbolTable, pairs) -> Scalar:
     return Scalar(table, num, {top: (lcm, 0)})
 
 
-def _eval_poly(table: SymbolTable, poly: dict, vals) -> Scalar:
-    total = table.zero()
-    key = (0,) * table.n
-    for exps, coeff in poly.items():
-        term = Scalar(table, {key: coeff}, {key: (1, 0)})
-        for v, e in zip(vals, exps):
-            if e:
-                term = term * v ** e
-        total = total + term
-    return total
-
-
 def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
     """Exact square root of monomial-over-monomial values, else None.
 
@@ -658,37 +632,31 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
 # -- text form -------------------------------------------------------------
 
 
-def _imag_str(b: Fraction) -> str:
-    if b == 1:
-        return "i"
-    if b == -1:
-        return "-i"
-    return f"{b}*i"
+def _signed_term(coeff: str, monomial: str) -> str:
+    """coeff*monomial as one term of a signed sum.
 
-
-def _mixed_str(re: Fraction, im: Fraction) -> str:
-    sign = " + " if im > 0 else " - "
-    return f"{re}{sign}{_imag_str(abs(im))}"
+    A coefficient of 1 or -1 is dropped, one that is itself a sum is
+    parenthesised, and an empty monomial leaves the bare coefficient.
+    """
+    if not monomial:
+        return coeff
+    if coeff == "1":
+        return monomial
+    if coeff == "-1":
+        return "-" + monomial
+    if " + " in coeff or " - " in coeff:
+        coeff = f"({coeff})"
+    return f"{coeff}*{monomial}"
 
 
 def _term_str(names, exps, re: Fraction, im: Fraction) -> str:
     mono = "*".join(name if e == 1 else f"{name}^{e}"
                     for name, e in zip(names, exps) if e)
-    if not mono:
-        if not im:
-            return str(re)
-        if not re:
-            return _imag_str(im)
-        return _mixed_str(re, im)
     if not im:
-        if re == 1:
-            return mono
-        if re == -1:
-            return "-" + mono
-        return f"{re}*{mono}"
-    if not re:
-        return f"{_imag_str(im)}*{mono}"
-    return f"({_mixed_str(re, im)})*{mono}"
+        return _signed_term(str(re), mono)
+    # the coefficient re + im*i is itself a signed sum of up to two terms
+    return _signed_term(_join_terms([_signed_term(str(c), m)
+                                     for c, m in ((re, ""), (im, "i")) if c]), mono)
 
 
 def _join_terms(pieces: Sequence[str]) -> str:

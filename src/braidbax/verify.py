@@ -7,6 +7,10 @@ rather than a stack trace.  A Report renders the sections as text or
 JSON; the CLI verbs and run_all share both.  run_all executes nine
 independent sections, each building its own symbol tables.
 
+Both projector suites take one spectral path: lagrange_projectors over
+the roots of the minimal polynomial (it checks idempotence, orthogonality
+and completeness), then the case's constants and the recomposition.
+
 The fault argument deliberately corrupts one of the two built-in
 matrices (and, for the second case, the projector constants used by the
 tensor machinery).  It exists so tests can confirm that each section
@@ -24,7 +28,7 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, List, Mapping, Optional, Tuple
 
-from .cases import builtin_case, s03_constant_projectors, s14_case, s14_constant_projectors
+from .cases import builtin_case, s03_constant_projectors, s14_constant_projectors
 from .linalg import (
     SquareMatrix,
     braid,
@@ -124,10 +128,6 @@ class Report:
     header: Tuple[str, ...] = ()
 
     @property
-    def seed(self) -> Optional[int]:
-        return self.fields.get("seed")
-
-    @property
     def holds(self) -> bool:
         return all(section.holds for section in self.sections)
 
@@ -191,34 +191,21 @@ def _sec_minimal_polynomials(seed: int, fault: Optional[str]) -> str:
 
 
 def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
-    table = SymbolTable([])
-    rhat = _braid_for("s03", table, fault)
-    eye = SquareMatrix.identity(table, 4)
-    i = table.i()
-    formula = s03_constant_projectors(table, rhat)
-    plus, minus = formula["plus"], formula["minus"]
-    literal = s03_constant_projectors(table)
-    _check(plus == literal["plus"] and minus == literal["minus"],
-           "first-case projector formulas drifted from their constants")
-    _check(plus * plus == plus and minus * minus == minus,
-           "first-case projectors are not idempotent")
-    _check((plus * minus).is_zero() and (minus * plus).is_zero(),
-           "first-case projectors are not orthogonal")
-    _check(plus + minus == eye, "first-case projectors do not resolve the identity")
-    one = table.one()
-    _check((one - i) * plus + (one + i) * minus == rhat,
-           "first-case spectral recomposition failed")
-
-    case = s14_case()
-    rhat = _braid_for("s14", case.table, fault)
-    roots = find_roots(minimal_polynomial(rhat))
-    ps = lagrange_projectors(rhat, roots)
-    _check(len(ps.items) == 3, f"expected three projectors, found {len(ps.items)}")
-    for (eig, proj), (want_eig, label) in zip(ps.items, case.pairing):
-        _check(eig == want_eig, f"eigenvalue order drifted: {eig} vs {want_eig}")
-        _check(proj == case.projectors[label],
-               f"second-case projector {label!r} differs from its parameter-free constant")
-    _check(ps.recompose() == rhat, "second-case spectral recomposition failed")
+    s03 = builtin_case("s03")
+    formula = s03_constant_projectors(s03.table, _braid_for("s03", s03.table, fault))
+    _check(formula == s03.projectors, "first-case projector formulas drifted from their constants")
+    # lagrange_projectors itself checks idempotence, orthogonality and completeness
+    for name, ordinal, count in (("s03", "first", "two"), ("s14", "second", "three")):
+        case = builtin_case(name)
+        rhat = _braid_for(name, case.table, fault)
+        ps = lagrange_projectors(rhat, find_roots(minimal_polynomial(rhat)))
+        _check(len(ps.items) == len(case.pairing),
+               f"expected {count} projectors, found {len(ps.items)}")
+        for (eig, proj), (want_eig, label) in zip(ps.items, case.pairing):
+            _check(eig == want_eig, f"eigenvalue order drifted: {eig} vs {want_eig}")
+            _check(proj == case.projectors[label],
+                   f"{ordinal}-case projector {label!r} differs from its parameter-free constant")
+        _check(ps.recompose() == rhat, f"{ordinal}-case spectral recomposition failed")
     return "both families idempotent, orthogonal, complete, and equal to their constants"
 
 
@@ -290,7 +277,7 @@ def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
     v, w, vp, wp, vpp, wpp = table.symbols("v", "w", "vp", "wp", "vpp", "wpp")
     coeffs = expand_pybe_coefficients((v, w), (vp, wp), (vpp, wpp), tops)
     closed = pybe_coefficient_formulas((v, w), (vp, wp), (vpp, wpp))
-    for key in ("a1", "a2", "b1", "b2"):
+    for key in coeffs:
         _check(coeffs[key] == closed[key], f"coefficient {key} differs from its closed form")
     two = table.scalar(2)
     constrained = s14_pybe_residual(
@@ -302,12 +289,12 @@ def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
     chain_v = expand_pybe_coefficients(
         (v, zero), (s14_chain(v, vpp), zero), (vpp, zero), tops
     )
-    _check(all(chain_v[key].is_zero() for key in ("a1", "a2", "b1", "b2")),
+    _check(all(value.is_zero() for value in chain_v.values()),
            "chained middle parameter fails to cancel the one-sided residual (plus side)")
     chain_w = expand_pybe_coefficients(
         (zero, w), (zero, s14_chain(w, wpp)), (zero, wpp), tops
     )
-    _check(all(chain_w[key].is_zero() for key in ("a1", "a2", "b1", "b2")),
+    _check(all(value.is_zero() for value in chain_w.values()),
            "chained middle parameter fails to cancel the one-sided residual (minus side)")
     q = table.symbol("q")
     _check(verify_frt_relations(tops, s14_member_q(q)),

@@ -69,15 +69,18 @@ def embed23(a: SquareMatrix) -> SquareMatrix:
 
 
 def _triple_residual(a: SquareMatrix, b: SquareMatrix, c: SquareMatrix) -> SquareMatrix:
-    """A12 B23 C12 - C23 B12 A23 on the three-site space."""
-    return embed12(a) * embed23(b) * embed12(c) - embed23(c) * embed12(b) * embed23(a)
+    """A12 B23 C12 - C23 B12 A23 on the three-site space, each matrix embedded once."""
+    embedded = {}
+    for m in (a, b, c):
+        if id(m) not in embedded:
+            embedded[id(m)] = embed12(m), embed23(m)
+    (a12, a23), (b12, b23), (c12, c23) = (embedded[id(m)] for m in (a, b, c))
+    return a12 * b23 * c12 - c23 * b12 * a23
 
 
 def braid_ybe_residual(b: SquareMatrix) -> SquareMatrix:
     """B12 B23 B12 - B23 B12 B23; zero exactly for braid-relation matrices."""
-    b12 = embed12(b)
-    b23 = embed23(b)
-    return b12 * b23 * b12 - b23 * b12 * b23
+    return _triple_residual(b, b, b)
 
 
 # ---------------------------------------------------------------- s03 family

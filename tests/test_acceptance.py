@@ -256,4 +256,4 @@ def test_criterion_9_randomised_plumbing(clean_report):
     """A 1000-case seeded random suite over the field and matrix layers."""
     section = clean_report.section("plumbing")
     assert section.holds, section.detail
-    assert clean_report.seed == 0
+    assert clean_report.fields["seed"] == 0

@@ -326,8 +326,8 @@ _HUGE = [
     (["ncplane", "s03", "--c=(99^1200)*(99^1200)"],
      "input error: value too long to print: it has an integer of more than 4300 digits"),
     (["ncplane", "s03", "--c=" + "9" * 5000],
-     f"input error: cannot parse parameter '{'9' * 5000}': integer literal of 5000 "
-     "digits, beyond the limit 4300 (at position 0)"),
+     f"input error: cannot parse parameter '{'9' * 60}'... (5000 characters): integer "
+     "literal of 5000 digits, beyond the limit 4300 (at position 0)"),
 ]
 
 
@@ -347,6 +347,51 @@ def test_analyze_file_huge_coefficient_is_an_input_error(tmp_path, capsys):
     assert captured.err.splitlines() == [
         f"input error: {target} does not describe a matrix: power of a single term "
         "reaches more than 4300 coefficient digits (at position 2)"]
+
+
+def test_matrix_file_with_a_huge_json_int_is_an_input_error(tmp_path, capsys):
+    target = tmp_path / "huge.json"
+    target.write_text('{"n": ' + "1" * 5000 + ', "symbols": [], "entries": [["1"]]}')
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"input error: {target} is not valid JSON: Exceeds the limit")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["ncplane", "s03", "--c=" + "9" * 1000],
+     f"input error: cannot parse parameter '{'9' * 60}'... (1000 characters): integer "
+     "literal of 1000 digits, beyond the limit 640 (at position 0)"),
+    (["ncplane", "s03", "--c=99^400"],
+     "input error: cannot parse parameter '99^400': power of a single term reaches "
+     "more than 640 coefficient digits (at position 3)"),
+])
+def test_digit_bounds_follow_a_lower_interpreter_limit(argv, message, capsys):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert main(argv) == 3
+    finally:
+        sys.set_int_max_str_digits(saved)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["ncplane", "s03", "--c=" + "9" * 5000], 3),
+    (["baxterize", "s14", "--triplet=" + "9" * 5000 + ",0,1,0,1,0"], 3),
+    (["baxterize", "s03", "--p=" + "9" * 4000], 3),
+    (["analyze", "z" * 5000], 2),
+])
+def test_long_inputs_are_quoted_in_part(argv, code, capsys):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert len(line) < 200
+    assert "(4000 characters)" in line or "(5000 characters)" in line
 
 
 # ----------------------------------------------------------------- verify-all

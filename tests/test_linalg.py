@@ -11,7 +11,6 @@ from braidbax import (
     SquareMatrix,
     SymbolTable,
     UnivariatePoly,
-    PoleError,
     braid,
     builtin,
     matrix_from_obj,
@@ -175,16 +174,6 @@ def test_minimal_polynomial_agrees_with_sympy():
             assert sympy.cancel(square_free.as_expr() - mine) == 0, m
         else:
             assert poly.degree() == m.n
-
-
-def test_substitute_applies_to_every_entry():
-    x, y = TABLE.symbols("x", "y")
-    i = TABLE.i()
-    m = SquareMatrix(TABLE, [[x, x * y], [1 / y, i]])
-    assert m.substitute({"x": 2, "y": Fraction(1, 2)}) == SquareMatrix(TABLE, [[2, 1], [2, i]])
-    assert m.substitute({"y": x}) == SquareMatrix(TABLE, [[x, x * x], [1 / x, i]])
-    with pytest.raises(PoleError):
-        m.substitute({"y": 0})
 
 
 def test_builtin_names():

@@ -261,31 +261,6 @@ def test_sqrt_scalar_of_a_square_takes_the_documented_branch(data, c):
     assert _forms(sqrt_scalar(z * z)) == _forms(want)
 
 
-# -------------------------------------------------------------- substitution
-
-
-def test_substitute_binds_ints_fractions_and_scalars():
-    x, y = TABLE.symbols("x", "y")
-    value = (x * x + y) / (x - 2 * y)
-    assert value.substitute({"x": 3}) == (9 + y) / (3 - 2 * y)
-    assert value.substitute({"y": Fraction(1, 2)}) == (x * x + Fraction(1, 2)) / (x - 1)
-    assert value.substitute({"x": y + 1}) == ((y + 1) ** 2 + y) / (1 - y)
-    assert value.substitute({}) == value
-    assert str(value.substitute({"x": 1, "y": TABLE.i()})) == "-1/5 + 3/5*i"
-
-
-def test_substitute_rejects_poles_and_foreign_names():
-    x = TABLE.symbol("x")
-    with pytest.raises(PoleError):
-        (1 / x).substitute({"x": 0})
-    with pytest.raises(UnknownSymbol):
-        x.substitute({"z": 1})
-    with pytest.raises(ValueError):
-        x.substitute({"x": SymbolTable(["y"]).symbol("y")})
-    # a table with the same names is interchangeable
-    assert x.substitute({"x": SymbolTable(["x", "y"]).symbol("y")}) == TABLE.symbol("y")
-
-
 # ---------------------------------------------------------------- properties
 
 

@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from braidbax import Report, SquareMatrix, SymbolTable, run_all, verify
-from braidbax.verify import _random_scalar, run_checks, section_checks
+from braidbax import Report, SquareMatrix, SymbolTable, builtin_case, run_all, verify
+from braidbax.verify import FAULT_TARGETS, _random_scalar, run_checks, section_checks
 
 from conftest import count_difference_builds, golden, without_elapsed
 
@@ -102,6 +102,36 @@ def test_s14_section_builds_each_letter_difference_once(monkeypatch):
     assert verify._sec_s14_combinations(0, None)
     assert len(built) == 27
     assert sorted(built) == sorted(a + b + c for a in "ixy" for b in "ixy" for c in "ixy")
+
+
+def test_projector_suites_take_the_spectral_path_for_both_cases(monkeypatch):
+    seen = []
+    real = verify.lagrange_projectors
+
+    def recorder(a, roots):
+        seen.append(a)
+        return real(a, roots)
+
+    monkeypatch.setattr(verify, "lagrange_projectors", recorder)
+    (section,) = run_checks([c for c in section_checks() if c[0] == "projector-suites"])
+    assert section.holds, section.detail
+    assert seen == [builtin_case("s03").rhat, builtin_case("s14").rhat]
+
+
+def _golden_projector_detail(fault):
+    if fault == "s03":
+        sections = golden()["verify"]["cli-fault-s03-json"]["stdout"]["sections"]
+    else:
+        sections = golden()["verify"]["fault-s14-obj"]["sections"]
+    (detail,) = [s["detail"] for s in sections if s["name"] == "projector-suites"]
+    return detail
+
+
+@pytest.mark.parametrize("fault", FAULT_TARGETS)
+def test_projector_suites_fail_under_each_fault_with_the_golden_detail(fault):
+    (section,) = run_checks([c for c in section_checks(0, fault) if c[0] == "projector-suites"])
+    assert not section.holds
+    assert section.detail == _golden_projector_detail(fault)
 
 
 def test_unknown_fault_target_is_rejected():
