@@ -1,11 +1,13 @@
 """The two built-in analysis cases and their published expected data.
 
-Each case bundles the raw 4x4 matrix, its braided form, the expected
-minimal polynomial, the eigenvalue-to-projector-label pairing, and the
-expected projector matrices.  Projectors for both cases are constant
-(the second case's are famously independent of q), so they can be
-instantiated over any symbol table; that is what the tensor and plane
-constructions elsewhere rely on.
+builtin_case(name) is the one constructor; it builds either case over
+its own symbol table (no symbols for s03, q for s14).  A case bundles
+the braided matrix, the expected minimal polynomial, the
+eigenvalue-to-projector-label pairing, and the expected projector
+matrices.  Projectors for both cases are constant (the second case's
+are famously independent of q), so s03_constant_projectors and
+s14_constant_projectors instantiate them over any symbol table; that is
+what the tensor and plane constructions elsewhere rely on.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from .scalar import Scalar, SymbolTable
 __all__ = [
     "BuiltinCase",
     "builtin_case",
-    "s03_case",
     "s03_constant_projectors",
-    "s14_case",
     "s14_constant_projectors",
 ]
 
@@ -76,42 +76,28 @@ def s14_constant_projectors(table: SymbolTable) -> Dict[str, SquareMatrix]:
     }
 
 
-def s03_case(table: Optional[SymbolTable] = None) -> BuiltinCase:
-    if table is None:
-        table = SymbolTable([])
-    rhat = braid(builtin("s03_r", table))
-    one = table.one()
-    i = table.i()
-    pairing = ((one + i, "minus"), (one - i, "plus"))  # "1 + i" < "1 - i"
-    return BuiltinCase(
-        table=table,
-        rhat=rhat,
-        min_poly=UnivariatePoly(table, [2, -2, 1]),
-        pairing=pairing,
-        projectors=s03_constant_projectors(table),
-    )
-
-
-def s14_case(table: Optional[SymbolTable] = None) -> BuiltinCase:
-    if table is None:
-        table = SymbolTable(["q"])
-    rhat = braid(builtin("s14_r", table))
-    q = table.symbol("q")
-    one = table.one()
-    pairing = ((-q, "minus"), (one, "zero"), (q, "plus"))  # "-q" < "1" < "q"
-    return BuiltinCase(
-        table=table,
-        rhat=rhat,
-        min_poly=UnivariatePoly(table, [q * q, -(q * q), -one, one]),
-        pairing=pairing,
-        projectors=s14_constant_projectors(table),
-    )
-
-
-def builtin_case(name: str, table: Optional[SymbolTable] = None) -> BuiltinCase:
+def builtin_case(name: str) -> BuiltinCase:
+    """The built-in case s03 or s14 (any letter case), over its own symbol table."""
     key = name.lower()
     if key == "s03":
-        return s03_case(table)
+        table = SymbolTable([])
+        rhat = braid(builtin("s03_r", table))
+        one, i = table.one(), table.i()
+        return BuiltinCase(
+            table=table,
+            rhat=rhat,
+            min_poly=UnivariatePoly(table, [2, -2, 1]),
+            pairing=((one + i, "minus"), (one - i, "plus")),  # "1 + i" < "1 - i"
+            projectors=s03_constant_projectors(table, rhat),
+        )
     if key == "s14":
-        return s14_case(table)
+        table = SymbolTable(["q"])
+        q, one = table.symbol("q"), table.one()
+        return BuiltinCase(
+            table=table,
+            rhat=braid(builtin("s14_r", table)),
+            min_poly=UnivariatePoly(table, [q * q, -(q * q), -one, one]),
+            pairing=((-q, "minus"), (one, "zero"), (q, "plus")),  # "-q" < "1" < "q"
+            projectors=s14_constant_projectors(table),
+        )
     raise ValueError(f"unknown built-in case {name!r}")

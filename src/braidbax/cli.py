@@ -83,6 +83,14 @@ def _excerpt(text: str, show: Callable[[str], str] = repr) -> str:
     return f"{show(text[:_EXCERPT])}... ({len(text)} characters)"
 
 
+def _int_option(text: str) -> int:
+    """int(text) for an integer option; a bad value is quoted as _excerpt does."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_excerpt(text)}") from None
+
+
 def _parse_parameters(texts: List[str]) -> list:
     """Parse expressions over a shared table of their free identifiers."""
     names = sorted(
@@ -385,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("baxterize", help="parameterised braid-equation checks")
     p.add_argument("target", help="s03 or s14")
-    p.add_argument("--p", type=int, default=None,
+    p.add_argument("--p", type=_int_option, default=None,
                    help="power-family exponent for s03, in -1000..1000 (default: -2)")
     p.add_argument("--triplet", metavar="V,W,V2,W2,V3,W3", default=None,
                    help="six expressions giving explicit s14 parameter pairs")
@@ -402,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("verify-all", help="run the complete verification suite")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_int_option, default=0,
                    help="seed for the randomised plumbing section (default: 0)")
     p.add_argument("--inject-fault", choices=FAULT_TARGETS, default=None,
                    help=argparse.SUPPRESS)

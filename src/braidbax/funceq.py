@@ -4,7 +4,9 @@ Two interlocking laws: the multiplicative-additive law for c and the
 k-squared family law for a, together with the closed forms solving them
 and the conversion maps between the two parametrisations.  Everything
 is exact; square roots are only taken when they exist in the scalar
-field.
+field.  f and a are evaluated on the upper branch r = sqrt(1 - 4k^2);
+the lower branch, -r, is reached through the argument 1/x (see f_aux
+and a_eval_general), so no evaluator takes a branch.
 """
 
 from __future__ import annotations
@@ -45,38 +47,37 @@ def c_law_residual(p: int, x: Scalar, y: Scalar) -> Scalar:
     return cx + cy + 2 * cx * cy - c_eval(p, x * y)
 
 
-def _branch_root(k_squared, reference: Scalar, branch: str) -> Scalar:
+def _root(k_squared, reference: Scalar) -> Scalar:
+    """r = sqrt(1 - 4k^2) on sqrt_scalar's branch, over the table of reference."""
     k2 = reference.table.scalar(k_squared)
     r = sqrt_scalar(1 - 4 * k2)
     if r is None:
         raise NonSquare(f"1 - 4*({k2}) has no square root in the scalar field")
-    if branch == "lower":
-        return -r
-    if branch != "upper":
-        raise ValueError(f"branch must be 'upper' or 'lower', not {branch!r}")
     return r
 
 
-def f_aux(k_squared, x: Scalar, branch: str = "upper") -> Scalar:
-    """The auxiliary function 1/x - x +- r(x + 1/x), r = sqrt(1 - 4k^2).
+def f_aux(k_squared, x: Scalar) -> Scalar:
+    """The upper-branch auxiliary function 1/x - x + r(x + 1/x), r = sqrt(1 - 4k^2).
 
+    The lower branch, 1/x - x - r(x + 1/x), is -f_aux(k_squared, 1/x).
     Genuinely singular at x = 0 (the quotient a built from it is not).
     """
-    r = _branch_root(k_squared, x, branch)
+    r = _root(k_squared, x)
     return x ** -1 - x + r * (x + x ** -1)
 
 
-def a_eval_general(k_squared, x: Scalar, branch: str = "upper") -> Scalar:
-    """a(x) = f(x)/f(1/x) - 1, evaluated through its cleared form.
+def a_eval_general(k_squared, x: Scalar) -> Scalar:
+    """The upper-branch a(x) = f(x)/f(1/x) - 1, evaluated through its cleared form.
 
     Clearing the 1/x factors gives
 
         a(x) = ((1+r) - (1-r)x^2) / ((1+r)x^2 - (1-r)) - 1
 
     which is defined at x = 0 whenever the denominator is.  The lower
-    branch is the upper branch at 1/x.
+    branch, the same form with -r in place of r, is
+    a_eval_general(k_squared, 1/x).
     """
-    r = _branch_root(k_squared, x, branch)
+    r = _root(k_squared, x)
     num = (1 + r) - (1 - r) * x ** 2
     den = (1 + r) * x ** 2 - (1 - r)
     return num / den - 1
@@ -92,15 +93,15 @@ def a_half_closed(x: Scalar) -> Scalar:
     return ((x ** 2 - 1) / (x ** 4 + 1)) * (1 - x ** 2 + i * (1 + x ** 2))
 
 
-def a_law_residual(k_squared, x: Scalar, y: Scalar, branch: str = "upper") -> Scalar:
-    """a(xy) - (a(x) + a(y) + a(x)a(y)) / (1 - kSquared*a(x)a(y))."""
+def a_law_residual(k_squared, x: Scalar, y: Scalar) -> Scalar:
+    """a(xy) - (a(x) + a(y) + a(x)a(y)) / (1 - kSquared*a(x)a(y)) on the upper branch."""
     k2 = x.table.scalar(k_squared)
-    ax = a_eval_general(k2, x, branch)
-    ay = a_eval_general(k2, y, branch)
+    ax = a_eval_general(k2, x)
+    ay = a_eval_general(k2, y)
     den = 1 - k2 * ax * ay
     if den.is_zero():
         raise PoleError("the law's denominator 1 - k^2 a(x)a(y) vanishes")
-    return a_eval_general(k2, x * y, branch) - (ax + ay + ax * ay) / den
+    return a_eval_general(k2, x * y) - (ax + ay + ax * ay) / den
 
 
 def a_from_c(c: Scalar) -> Scalar:

@@ -9,12 +9,13 @@ four-matrix span.
 
 Conventions fixed here and relied on by the tests:
 
-* s03 members are denominator-cleared, 2I + (x^p - 1)*Rhat.  Both sides
-  of the parametrised equation contain the same three members, so the
-  cleared form vanishes exactly when the unit-normalised one does.
-* The parametrised residual places the first argument at slot (1,2),
-  the middle at (2,3), the last at (1,2), and mirrors the slots on the
-  subtracted side.
+* s03 members are unit-normalised, I + c(x)*Rhat with c = funceq.c_eval,
+  the generic Baxterisation form I + c*B of any braid matrix B (Jones,
+  "Baxterization", 1990); _unit_residual checks it for free c.
+* Every three-site product is _triple over (1,2)/(2,3) embedding pairs
+  from _embed.  The parametrised residual places the first argument at
+  slot (1,2), the middle at (2,3), the last at (1,2), and mirrors the
+  slots on the subtracted side.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cases import s14_constant_projectors
+from .funceq import c_eval
 from .linalg import DimensionMismatch, SquareMatrix, braid, builtin
 from .scalar import Scalar, SymbolTable
 
@@ -31,14 +33,10 @@ __all__ = [
     "ResidualNotInSpan",
     "TensorOps",
     "braid_ybe_residual",
-    "combination_basis",
-    "embed12",
-    "embed23",
     "expand_pybe_coefficients",
     "power_reduction_residual",
     "pybe_coefficient_formulas",
     "reduction_identity_residuals",
-    "s03_member",
     "s03_pybe_residual",
     "s03_reduction_residual",
     "s14_chain",
@@ -54,28 +52,27 @@ class ResidualNotInSpan(Exception):
     """The expanded residual failed to reduce onto the four-matrix span."""
 
 
-def embed12(a: SquareMatrix) -> SquareMatrix:
-    """a acting on the first two of three sites: a tensor I2."""
+def _embed(a: SquareMatrix) -> tuple:
+    """(a12, a23): a acting on sites (1,2) and (2,3) of three, a (x) I2 and I2 (x) a."""
     if a.n != 4:
         raise DimensionMismatch("three-site embedding expects a 4x4 matrix")
-    return a.kron(SquareMatrix.identity(a.table, 2))
+    eye = SquareMatrix.identity(a.table, 2)
+    return a.kron(eye), eye.kron(a)
 
 
-def embed23(a: SquareMatrix) -> SquareMatrix:
-    """a acting on the last two of three sites: I2 tensor a."""
-    if a.n != 4:
-        raise DimensionMismatch("three-site embedding expects a 4x4 matrix")
-    return SquareMatrix.identity(a.table, 2).kron(a)
+def _triple(a: tuple, b: tuple, c: tuple) -> SquareMatrix:
+    """A12 B23 C12 - C23 B12 A23 for the embedding pairs a, b, c."""
+    (a12, a23), (b12, b23), (c12, c23) = a, b, c
+    return a12 * b23 * c12 - c23 * b12 * a23
 
 
 def _triple_residual(a: SquareMatrix, b: SquareMatrix, c: SquareMatrix) -> SquareMatrix:
-    """A12 B23 C12 - C23 B12 A23 on the three-site space, each matrix embedded once."""
+    """_triple of three 4x4 matrices, a repeated matrix embedded once."""
     embedded = {}
     for m in (a, b, c):
         if id(m) not in embedded:
-            embedded[id(m)] = embed12(m), embed23(m)
-    (a12, a23), (b12, b23), (c12, c23) = (embedded[id(m)] for m in (a, b, c))
-    return a12 * b23 * c12 - c23 * b12 * a23
+            embedded[id(m)] = _embed(m)
+    return _triple(*(embedded[id(m)] for m in (a, b, c)))
 
 
 def braid_ybe_residual(b: SquareMatrix) -> SquareMatrix:
@@ -90,40 +87,27 @@ def _s03_rhat(table: SymbolTable) -> SquareMatrix:
     return braid(builtin("s03_r", table))
 
 
-def s03_member(p: int, x: Scalar, rhat: Optional[SquareMatrix] = None) -> SquareMatrix:
-    """Power-law family member 2I + (x^p - 1)*Rhat.
-
-    Twice the unit-normalised member with coefficient (x^p - 1)/2; the
-    factor cancels between the two sides of the parametrised equation,
-    so the cleared form keeps every entry a Laurent polynomial.
-    Negative p makes x = 0 a pole.
-    """
-    if not isinstance(p, int) or isinstance(p, bool):
-        raise TypeError("the exponent p must be an integer")
-    if rhat is None:
-        rhat = _s03_rhat(x.table)
-    return 2 * SquareMatrix.identity(x.table, 4) + (x ** p - 1) * rhat
-
-
 def s03_pybe_residual(
     p: int, x: Scalar, y: Scalar, rhat: Optional[SquareMatrix] = None
 ) -> SquareMatrix:
-    """Triple-product residual of the power-law family at (x, xy, y).
+    """Residual of the power-law members I + c(x)*Rhat at (x, xy, y).
 
-    Identically zero for every integer p, symbolically in x and y.
+    c = funceq.c_eval(p, .) = (x^p - 1)/2, which raises TypeError for a
+    non-int p and PoleError at x = 0 for a negative one.  Identically
+    zero for every integer p, symbolically in x and y.
     """
+    cx, cy, cxy = c_eval(p, x), c_eval(p, y), c_eval(p, x * y)
     if rhat is None:
         rhat = _s03_rhat(x.table)
-    return _triple_residual(
-        s03_member(p, x, rhat), s03_member(p, x * y, rhat), s03_member(p, y, rhat)
-    )
+    return _unit_residual(rhat, cx, cy, cxy)
 
 
 def _unit_residual(b: SquareMatrix, cx: Scalar, cy: Scalar, cxy: Scalar) -> SquareMatrix:
     """Residual of the unit members I + c*b with free coefficients in the three slots.
 
-    For the s03 braid matrix, coefficients that violate the composition
-    law cx + cy + 2*cx*cy = cxy leave a nonzero multiple of B12 - B23.
+    For a braid-relation matrix b with b^2 = alpha*b + beta*I, not a
+    multiple of I, it equals (cx + cy + alpha*cx*cy - cxy)(B12 - B23), so
+    it vanishes exactly on that composition law; alpha = 2 for s03.
     """
     eye = SquareMatrix.identity(b.table, b.n)
     return _triple_residual(eye + cx * b, eye + cxy * b, eye + cy * b)
@@ -141,7 +125,7 @@ def power_reduction_residual(
     cancels using the braid relation alone, before any minimal
     polynomial enters.
     """
-    b12, b23 = embed12(b), embed23(b)
+    b12, b23 = _embed(b)
     collapsed = (cx + cy - cxy) * (b12 - b23) + (cx * cy) * (b12 * b12 - b23 * b23)
     return _unit_residual(b, cx, cy, cxy) - collapsed
 
@@ -160,7 +144,7 @@ def s03_reduction_residual(
     """
     if rhat is None:
         rhat = _s03_rhat(cx.table)
-    b12, b23 = embed12(rhat), embed23(rhat)
+    b12, b23 = _embed(rhat)
     law = cx + cy + 2 * cx * cy - cxy
     return _unit_residual(rhat, cx, cy, cxy) - law * (b12 - b23)
 
@@ -209,23 +193,20 @@ def s14_pybe_residual(
 class TensorOps:
     """Slot embeddings of the two s14 corner projectors.
 
-    x1 and x2 put the plus projector at sites (1,2) and (2,3); y1 and
-    y2 do the same for the minus projector.  An alternative 4x4 plus
-    matrix may be supplied to demonstrate how the identities fail for
+    slots maps the letter x to the _embed pair of the plus projector and
+    y to that of the minus projector.  An alternative 4x4 plus matrix
+    may be supplied to demonstrate how the identities fail for
     non-projectors.  diffs holds each letter difference once built on
     this instance, and plan their classification once derived.
     """
 
-    __slots__ = ("table", "plus", "x1", "x2", "y1", "y2", "diffs", "plan")
+    __slots__ = ("table", "plus", "slots", "diffs", "plan")
 
     def __init__(self, table: SymbolTable, plus: Optional[SquareMatrix] = None):
         pair = s14_constant_projectors(table)
         self.table = table
         self.plus = pair["plus"] if plus is None else plus
-        self.x1 = embed12(self.plus)
-        self.x2 = embed23(self.plus)
-        self.y1 = embed12(pair["minus"])
-        self.y2 = embed23(pair["minus"])
+        self.slots = {"x": _embed(self.plus), "y": _embed(pair["minus"])}
         self.diffs = {}
         self.plan = None
 
@@ -239,10 +220,8 @@ def _letter_difference(t: TensorOps, triple: str) -> SquareMatrix:
     diff = t.diffs.get(triple)
     if diff is None:
         eye = SquareMatrix.identity(t.table, 8)
-        slot12 = {"i": eye, "x": t.x1, "y": t.y1}
-        slot23 = {"i": eye, "x": t.x2, "y": t.y2}
-        a, b, c = triple
-        diff = slot12[a] * slot23[b] * slot12[c] - slot23[c] * slot12[b] * slot23[a]
+        slots = {"i": (eye, eye), **t.slots}
+        diff = _triple(*(slots[letter] for letter in triple))
         t.diffs[triple] = diff
     return diff
 
@@ -282,17 +261,13 @@ _REDUCTION = {
 }
 
 
-def combination_basis(t: TensorOps) -> dict:
-    """The twelve combination matrices by name."""
-    return {name: _letter_difference(t, triple) for name, triple in _BASIS.items()}
-
-
-def reduction_identity_residuals(basis: dict) -> dict:
+def reduction_identity_residuals(t: TensorOps) -> dict:
     """Residuals of the eight identities collapsing the three-factor terms.
 
-    Every value is the zero matrix when the basis comes from honest
-    projector embeddings.
+    They run over the twelve combination matrices of t; every value is
+    the zero matrix when t holds honest projector embeddings.
     """
+    basis = {name: _letter_difference(t, triple) for name, triple in _BASIS.items()}
     residuals = {name: basis[name] for name in basis if name not in _REDUCTION}
     for target, (scale, terms) in _REDUCTION.items():
         for name, sign in terms:
@@ -309,12 +284,11 @@ def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
         f_(12) B23 B12 = B23 B12 f_(23)
         f_(23) B12 B23 = B12 B23 f_(12)
     """
-    pairs = ((t.x1, t.x2), (t.y1, t.y2))
     for power in (rq, rq.inverse()):
-        b12, b23 = embed12(power), embed23(power)
+        b12, b23 = _embed(power)
         left = b23 * b12
         right = b12 * b23
-        for f1, f2 in pairs:
+        for f1, f2 in t.slots.values():
             if f1 * left != left * f2:
                 return False
             if f2 * right != right * f1:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings, strategies as st
 
-from braidbax import SquareMatrix, SymbolTable, combination_basis, ybe
+from braidbax import SquareMatrix, SymbolTable, ybe
 from braidbax.verify import run_all
 
 settings.register_profile("exact", deadline=None, derandomize=True, max_examples=50)
@@ -67,7 +67,7 @@ def expansion_by_plan(tops, first, middle, last):
     over the classified letter triples must equal it exactly.
     """
     table = tops.table
-    basis = combination_basis(tops)
+    basis = {name: ybe._letter_difference(tops, triple) for name, triple in ybe._BASIS.items()}
     weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
     total = SquareMatrix.zeros(table, 8)
     for (a, b, c), name, sign in ybe._plan(tops):

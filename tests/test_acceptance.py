@@ -21,7 +21,6 @@ from braidbax import (
     a_from_c,
     a_half_closed,
     a_law_residual,
-    combination_basis,
     expand_pybe_coefficients,
     find_roots,
     lagrange_projectors,
@@ -32,7 +31,6 @@ from braidbax import (
     reduction_identity_residuals,
     reparametrize_check,
     s03_constant_projectors,
-    s03_member,
     s03_plane,
     s03_pybe_residual,
     s03_reduction_residual,
@@ -106,8 +104,9 @@ def test_criterion_4_power_family_baxterisation():
     free = SymbolTable(["cx", "cy", "cxy"])
     cx, cy, cxy = free.symbols("cx", "cy", "cxy")
     assert s03_reduction_residual(cx, cy, cxy).is_zero()
-    # the p = -1 member, cleared of its scalar prefactor, is the known matrix
-    cleared = x * s03_member(-1, x)
+    # the p = -1 member I + c(x)*Rhat, cleared of its scalar prefactor, is the known matrix
+    rhat = braid(builtin("s03_r", table))
+    cleared = (2 * x) * (SquareMatrix.identity(table, 4) + c_eval(-1, x) * rhat)
     want = SquareMatrix(
         table,
         [
@@ -144,8 +143,7 @@ def test_criterion_5_functional_equations():
 def test_criterion_6_combination_identities():
     """All twelve product combinations reduce onto the four-matrix span."""
     plain = SymbolTable([])
-    basis = combination_basis(TensorOps(plain))
-    reductions = reduction_identity_residuals(basis)
+    reductions = reduction_identity_residuals(TensorOps(plain))
     assert len(reductions) == 8
     for name, residual in reductions.items():
         assert residual.is_zero(), f"reduction {name} fails"

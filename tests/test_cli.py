@@ -8,6 +8,7 @@ import jsonschema
 import pytest
 
 from braidbax import SymbolTable, builtin_case, matrix_from_obj
+from braidbax import cli
 from braidbax.cli import main
 
 from conftest import golden, without_elapsed
@@ -392,6 +393,26 @@ def test_long_inputs_are_quoted_in_part(argv, code, capsys):
     (line,) = captured.err.splitlines()
     assert len(line) < 200
     assert "(4000 characters)" in line or "(5000 characters)" in line
+
+
+@pytest.mark.parametrize("prefix, option, long_value", [
+    (["baxterize", "s03"], "--p", "9" * 5000),
+    (["verify-all"], "--seed", "x" * 5000),
+], ids=["p", "seed"])
+def test_integer_options_are_quoted_in_part(prefix, option, long_value, monkeypatch, capsys):
+    assert main([*prefix, f"{option}={long_value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err) < 400
+    assert captured.err.splitlines()[-1].endswith(
+        f"argument {option}: invalid int value: {long_value[:60]!r}... (5000 characters)")
+    # a short bad value keeps the line argparse writes for type=int
+    assert main([*prefix, f"{option}=12x"]) == 2
+    ours = capsys.readouterr().err
+    monkeypatch.setattr(cli, "_int_option", int)
+    assert main([*prefix, f"{option}=12x"]) == 2
+    assert ours == capsys.readouterr().err
+    assert ours.endswith(f"argument {option}: invalid int value: '12x'\n")
 
 
 # ----------------------------------------------------------------- verify-all

@@ -40,13 +40,10 @@ def test_c_law_holds_for_each_power(p):
 
 
 def test_f_aux_branches():
-    upper = f_aux(HALF, X)
-    lower = f_aux(HALF, X, branch="lower")
-    i = T.i()
-    assert upper == 1 / X - X + i * (X + 1 / X)
-    assert lower == 1 / X - X - i * (X + 1 / X)
-    with pytest.raises(ValueError):
-        f_aux(HALF, X, branch="sideways")
+    # k^2 = 1/2 gives r = i; the lower branch takes -r
+    r = T.i()
+    assert f_aux(HALF, X) == 1 / X - X + r * (X + 1 / X)
+    assert -f_aux(HALF, 1 / X) == 1 / X - X - r * (X + 1 / X)
     with pytest.raises(PoleError):
         f_aux(HALF, T.zero())
 
@@ -65,7 +62,10 @@ def test_a_special_values():
 
 
 def test_lower_branch_is_upper_at_inverse_argument():
-    assert a_eval_general(HALF, X, branch="lower") == a_eval_general(HALF, 1 / X)
+    # the cleared form with -r in place of r, at k^2 = 1/2 (r = i) and k^2 = 0 (r = 1)
+    for k_squared, r in ((HALF, T.i()), (0, T.one())):
+        lower = ((1 - r) - (1 + r) * X ** 2) / ((1 - r) * X ** 2 - (1 + r)) - 1
+        assert a_eval_general(k_squared, 1 / X) == lower
 
 
 def test_k_zero_and_quarter_degenerations():

@@ -83,7 +83,7 @@ def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
         checks = [check for check in section_checks() if check[0] != "plumbing"]
         return {s.name: s.detail for s in run_checks(checks) if not s.holds}
 
-    monkeypatch.setattr(verify, "f_aux", lambda k_squared, x, branch="upper": x)
+    monkeypatch.setattr(verify, "f_aux", lambda k_squared, x: x)
     assert failed_sections() == {
         "functional-equations": "a(x) differs from f(x)/f(1/x) - 1 for the auxiliary function f",
     }

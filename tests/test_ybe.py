@@ -17,14 +17,12 @@ from braidbax import (
     braid,
     braid_ybe_residual,
     builtin,
-    combination_basis,
-    embed12,
-    embed23,
+    c_eval,
     expand_pybe_coefficients,
+    minimal_polynomial,
     power_reduction_residual,
     pybe_coefficient_formulas,
     reduction_identity_residuals,
-    s03_member,
     s03_pybe_residual,
     s03_reduction_residual,
     s14_chain,
@@ -36,7 +34,7 @@ from braidbax import (
     verify_frt_relations,
 )
 from braidbax import ybe
-from braidbax.ybe import _unit_residual
+from braidbax.ybe import _embed, _unit_residual
 
 from conftest import count_difference_builds, expansion_by_plan
 
@@ -56,8 +54,7 @@ def _bump(m):
 
 def test_embeddings_place_factors_correctly():
     a = SquareMatrix(T, [[Fraction(r * 4 + c + 1) for c in range(4)] for r in range(4)])
-    left = embed12(a)
-    right = embed23(a)
+    left, right = _embed(a)
     assert left.n == 8 and right.n == 8
     # a (x) I duplicates each entry along the inner diagonal
     assert left == a.kron(SquareMatrix.identity(T, 2))
@@ -72,9 +69,7 @@ def test_embeddings_place_factors_correctly():
 def test_embeddings_reject_other_sizes():
     small = SquareMatrix(T, [[1, 2], [3, 4]])
     with pytest.raises(DimensionMismatch):
-        embed12(small)
-    with pytest.raises(DimensionMismatch):
-        embed23(small)
+        _embed(small)
 
 
 @pytest.mark.parametrize("name", ["s03_r", "s14_r"])
@@ -91,12 +86,25 @@ def test_braid_residual_detects_failures():
 # ---------------------------------------------------------------- s03 family
 
 
+def _unit_member(p, x):
+    """The power-law member I + c(x)*Rhat that s03_pybe_residual multiplies."""
+    return SquareMatrix.identity(x.table, 4) + c_eval(p, x) * braid(builtin("s03_r", x.table))
+
+
+def _cleared_residual(p, rhat):
+    """Reference: the triple product of the cleared members 2I + (z^p - 1)*Rhat at (x, xy, y)."""
+    eye2 = SquareMatrix.identity(T, 2)
+    a, b, c = (2 * SquareMatrix.identity(T, 4) + (z ** p - 1) * rhat for z in (X, X * Y, Y))
+    return (a.kron(eye2) * eye2.kron(b) * c.kron(eye2)
+            - eye2.kron(c) * b.kron(eye2) * eye2.kron(a))
+
+
 def test_power_zero_member_is_twice_identity():
-    assert s03_member(0, X) == 2 * SquareMatrix.identity(T, 4)
+    assert 2 * _unit_member(0, X) == 2 * SquareMatrix.identity(T, 4)
 
 
 def test_inverse_power_member_matches_cleared_matrix():
-    cleared = X * s03_member(-1, X)
+    cleared = (2 * X) * _unit_member(-1, X)
     x = X
     want = SquareMatrix(
         T,
@@ -112,7 +120,7 @@ def test_inverse_power_member_matches_cleared_matrix():
 
 def test_square_inverse_member_is_braid_plus_inverse_braid():
     rhat = braid(builtin("s03_r", T))
-    cleared = (X * X) * s03_member(-2, X)
+    cleared = (2 * X * X) * _unit_member(-2, X)
     assert cleared == rhat + (2 * X * X) * rhat.inverse()
 
 
@@ -121,14 +129,27 @@ def test_parameterised_braid_residual_vanishes(p):
     assert s03_pybe_residual(p, X, Y).is_zero()
 
 
+def test_cleared_members_give_eight_times_the_residual():
+    rhat = braid(builtin("s03_r", T))
+    for matrix in (rhat, _bump(rhat)):
+        for p in range(-6, 7):
+            residual = s03_pybe_residual(p, X, Y, matrix)
+            assert _cleared_residual(p, matrix) == 8 * residual
+            # p = 0 makes every member the identity, whatever the matrix
+            assert residual.is_zero() == (matrix is rhat or p == 0)
+
+
 def test_negative_powers_reject_zero_argument():
     with pytest.raises(PoleError):
-        s03_member(-1, T.zero())
+        s03_pybe_residual(-1, T.zero(), Y)
+    with pytest.raises(PoleError):
+        c_eval(-1, T.zero())
 
 
 def test_member_power_must_be_a_plain_int():
-    with pytest.raises(TypeError):
-        s03_member(True, X)
+    for p in (True, 1.5):
+        with pytest.raises(TypeError):
+            s03_pybe_residual(p, X, Y)
 
 
 def test_first_collapse_stage_for_both_builtins():
@@ -148,11 +169,29 @@ def test_full_collapse_is_exact_for_free_coefficients():
 def test_generic_residual_factors_through_the_law():
     # breaking the law by forcing cxy = 0 leaves the predicted multiple
     rhat = braid(builtin("s03_r", T))
-    b12, b23 = embed12(rhat), embed23(rhat)
+    b12, b23 = _embed(rhat)
     broken = _unit_residual(rhat, X, Y, T.zero())
     assert broken == (X + Y + 2 * X * Y) * (b12 - b23)
     # restoring the law kills the residual
     assert _unit_residual(rhat, X, Y, X + Y + 2 * X * Y).is_zero()
+
+
+def test_unit_residual_serves_a_hecke_braid_matrix():
+    # the GL_q(2) Hecke matrix P*R squares to (q - 1/q)*B + I, so its law
+    # has q - 1/q where the s03 law has 2
+    table = SymbolTable(["q", "cx", "cy"])
+    q, cx, cy = table.symbols("q", "cx", "cy")
+    one, zero = table.one(), table.zero()
+    hecke = braid(SquareMatrix(table, [
+        [q, zero, zero, zero],
+        [zero, one, q - 1 / q, zero],
+        [zero, zero, one, zero],
+        [zero, zero, zero, q],
+    ]))
+    assert str(minimal_polynomial(hecke)) == "t^2 + ((-q^2 + 1)/q)*t - 1"
+    assert braid_ybe_residual(hecke).is_zero()
+    assert _unit_residual(hecke, cx, cy, cx + cy + (q - 1 / q) * cx * cy).is_zero()
+    assert not _unit_residual(hecke, cx, cy, cx + cy + 2 * cx * cy).is_zero()
 
 
 # ---------------------------------------------------------------- s14 family
@@ -191,7 +230,7 @@ def test_unconstrained_pairs_leave_a_nonzero_residual():
 
 
 def test_reduction_identities_all_vanish():
-    residuals = reduction_identity_residuals(combination_basis(TensorOps(T)))
+    residuals = reduction_identity_residuals(TensorOps(T))
     assert sorted(residuals) == ["k1", "k2", "k3", "l1", "l2", "l3", "s5", "s6"]
     for value in residuals.values():
         assert value.is_zero()
@@ -200,7 +239,7 @@ def test_reduction_identities_all_vanish():
 def test_reduction_identities_need_honest_projectors():
     pair = s14_constant_projectors(T)
     fake = TensorOps(T, plus=_bump(pair["plus"]))
-    residuals = reduction_identity_residuals(combination_basis(fake))
+    residuals = reduction_identity_residuals(fake)
     assert any(not value.is_zero() for value in residuals.values())
 
 
@@ -211,7 +250,7 @@ def test_expansion_identity_in_six_symbols():
     tops = TensorOps(free)
     assert expansion_by_plan(tops, first, middle, last) == s14_pybe_residual(first, middle, last)
     # the twelve classified names are exactly the combination basis
-    assert {name for _, name, _ in ybe._plan(tops)} == set(combination_basis(tops))
+    assert {name for _, name, _ in ybe._plan(tops)} == set(ybe._BASIS)
 
 
 def test_exchange_relations_hold_for_family_members():
