@@ -14,6 +14,7 @@ be read or lies outside the searchable scalar domain.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import re
 import sys
@@ -72,6 +73,9 @@ class UsageError(Exception):
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
+# the plane relations print in these generators, so no parameter may take their names
+_PLANE_GENERATORS = ("x1", "x2", "xi1", "xi2")
+
 # the longest piece of an input that a one-line message quotes
 _EXCERPT = 60
 
@@ -112,6 +116,9 @@ def _load_matrix(path: str) -> SquareMatrix:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as exc:
+        if exc.errno == errno.ENAMETOOLONG:
+            # such a path names no file, so an excerpt of it loses nothing
+            raise InputError(f"cannot read {_excerpt(path, str)}: {exc.strerror}") from exc
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also an int beyond the interpreter's digit limit
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -335,6 +342,9 @@ def _run_ncplane(args) -> Verb:
         builder = lambda: s14_plane(kplus, kzero)
         expected_mixed = mixed_rules_s14(kplus, kzero)
         parameters = {"kplus": str(kplus), "kzero": str(kzero)}
+    for generator in _PLANE_GENERATORS:
+        if generator in table.names:
+            raise InputError(f"symbol {generator!r} is reserved for the plane's generators")
 
     fields = {"target": name, "parameters": parameters}
     try:

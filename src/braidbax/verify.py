@@ -8,8 +8,8 @@ JSON; the CLI verbs and run_all share both.  run_all executes nine
 independent sections, each building its own symbol tables.
 
 Both projector suites take one spectral path: lagrange_projectors over
-the roots of the minimal polynomial (it checks idempotence, orthogonality
-and completeness), then the case's constants and the recomposition.
+the roots of the minimal polynomial (it checks idempotence, orthogonality,
+completeness and the recomposition), then the case's constants.
 
 The fault argument deliberately corrupts one of the two built-in
 matrices (and, for the second case, the projector constants used by the
@@ -60,6 +60,7 @@ from .funceq import (
 )
 from .ybe import (
     TensorOps,
+    _letter_claim_residuals,
     braid_ybe_residual,
     expand_pybe_coefficients,
     power_reduction_residual,
@@ -193,7 +194,8 @@ def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
     s03 = builtin_case("s03")
     formula = s03_constant_projectors(s03.table, _braid_for("s03", s03.table, fault))
     _check(formula == s03.projectors, "first-case projector formulas drifted from their constants")
-    # lagrange_projectors itself checks idempotence, orthogonality and completeness
+    # lagrange_projectors itself checks idempotence, orthogonality, completeness
+    # and the recomposition
     for name, ordinal, count in (("s03", "first", "two"), ("s14", "second", "three")):
         case = builtin_case(name)
         rhat = _braid_for(name, case.table, fault)
@@ -204,7 +206,6 @@ def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
             _check(eig == want_eig, f"eigenvalue order drifted: {eig} vs {want_eig}")
             _check(proj == case.projectors[label],
                    f"{ordinal}-case projector {label!r} differs from its parameter-free constant")
-        _check(ps.recompose() == rhat, f"{ordinal}-case spectral recomposition failed")
     return "both families idempotent, orthogonal, complete, and equal to their constants"
 
 
@@ -272,6 +273,9 @@ def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
     residuals = reduction_identity_residuals(tops)
     bad = sorted(name for name, res in residuals.items() if not res.is_zero())
     _check(not bad, f"reduction identities fail for {', '.join(bad)}")
+    claims = _letter_claim_residuals(tops)
+    off = [triple for triple, res in claims.items() if not res.is_zero()]
+    _check(not off, f"letter differences off the span: {', '.join(off)}")
     v, w, vp, wp, vpp, wpp = table.symbols("v", "w", "vp", "wp", "vpp", "wpp")
     coeffs = expand_pybe_coefficients((v, w), (vp, wp), (vpp, wpp), tops)
     closed = pybe_coefficient_formulas((v, w), (vp, wp), (vpp, wpp))
@@ -343,8 +347,6 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
     flat += [entry for row in rel.mixed.rows for entry in row]
     _check(all(entry.is_real() for entry in flat),
            "first-plane coefficients are not all real in the mixed generators")
-    _check(len(rel.coordinates) == 2 and len(rel.differentials) == 2,
-           "first-plane block ranks are not 2 and 2")
 
     t2 = SymbolTable(["kplus", "kzero"])
     kplus, kzero = t2.symbols("kplus", "kzero")
@@ -354,8 +356,6 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
     _check(rel2.coordinates == coord, "second-plane coordinate relations drifted")
     _check(rel2.differentials == diff, "second-plane differential relations drifted")
     _check(rel2.mixed == mixed_rules_s14(kplus, kzero), "second-plane rewrite rules drifted")
-    _check(len(rel2.coordinates) == 1 and len(rel2.differentials) == 3,
-           "second-plane block ranks are not 1 and 3")
     return "both planes consistent, blocks and rewrite rules exactly as displayed"
 
 

@@ -20,7 +20,6 @@ Conventions fixed here and relied on by the tests:
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from typing import Optional
 
@@ -197,10 +196,10 @@ class TensorOps:
     y to that of the minus projector.  An alternative 4x4 plus matrix
     may be supplied to demonstrate how the identities fail for
     non-projectors.  diffs holds each letter difference once built on
-    this instance, and plan their classification once derived.
+    this instance.
     """
 
-    __slots__ = ("table", "plus", "slots", "diffs", "plan")
+    __slots__ = ("table", "plus", "slots", "diffs")
 
     def __init__(self, table: SymbolTable, plus: Optional[SquareMatrix] = None):
         pair = s14_constant_projectors(table)
@@ -208,7 +207,6 @@ class TensorOps:
         self.plus = pair["plus"] if plus is None else plus
         self.slots = {"x": _embed(self.plus), "y": _embed(pair["minus"])}
         self.diffs = {}
-        self.plan = None
 
 
 def _letter_difference(t: TensorOps, triple: str) -> SquareMatrix:
@@ -240,12 +238,22 @@ _NAMED = {triple: name for name, triple in _BASIS.items()}
 
 # The other letter triples whose difference is a signed combination;
 # the remaining seven vanish through slot structure, idempotence, or
-# orthogonality.  Each claim is asserted at matrix level when expanding.
+# orthogonality.  _letter_claim_residuals checks each claim at matrix
+# level.
 _ELEMENTARY = {
     "iix": ("s1", 1), "xix": ("s1", 1), "ixi": ("s1", -1),
     "iiy": ("s2", 1), "yiy": ("s2", 1), "iyi": ("s2", -1),
     "yxi": ("j1", -1), "ixy": ("j2", -1),
 }
+
+_TRIPLES = tuple(a + b + c for a in "ixy" for b in "ixy" for c in "ixy")
+
+# The (triple, span name, sign) terms of the multilinear expansion, in
+# triple order: the twenty triples whose difference does not vanish.
+_ENTRIES = tuple(
+    (triple, _NAMED[triple], 1) if triple in _NAMED else (triple, *_ELEMENTARY[triple])
+    for triple in _TRIPLES if triple in _NAMED or triple in _ELEMENTARY
+)
 
 # The eight reduction identities, read by span element: a three-factor
 # combination n equals the sum of scale * sign * target over the rows
@@ -275,6 +283,27 @@ def reduction_identity_residuals(t: TensorOps) -> dict:
     return residuals
 
 
+def _letter_claim_residuals(t: TensorOps) -> dict:
+    """Residuals of the fifteen claims about the triples outside the basis.
+
+    An identified triple leaves its difference minus its signed span
+    element, a vanishing one its difference itself, keyed by triple in
+    triple order; every value is the zero matrix when t holds honest
+    projector embeddings.
+    """
+    residuals = {}
+    for triple in _TRIPLES:
+        if triple in _NAMED:
+            continue
+        diff = _letter_difference(t, triple)
+        if triple in _ELEMENTARY:
+            name, sign = _ELEMENTARY[triple]
+            span = _letter_difference(t, _BASIS[name])
+            diff = diff - span if sign > 0 else diff + span
+        residuals[triple] = diff
+    return residuals
+
+
 def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
     """Projector exchange across braid products, both slots, both powers.
 
@@ -296,81 +325,34 @@ def verify_frt_relations(t: TensorOps, rq: SquareMatrix) -> bool:
     return True
 
 
-def _plan(tops: TensorOps) -> tuple:
-    """Classify the 27 elementary letter differences of tops onto the span.
-
-    Returns the (triple, span name, sign) entries of the differences
-    that do not vanish, in triple order, and keeps them on tops.  A
-    failed elementary claim raises ResidualNotInSpan and is not kept,
-    so the next call checks again.
-    """
-    if tops.plan is not None:
-        return tops.plan
-    diffs = {a + b + c: _letter_difference(tops, a + b + c)
-             for a in "ixy" for b in "ixy" for c in "ixy"}
-    entries = []
-    for triple, diff in diffs.items():
-        if triple in _NAMED:
-            name, sign = _NAMED[triple], 1
-        elif triple in _ELEMENTARY:
-            name, sign = _ELEMENTARY[triple]
-            span = diffs[_BASIS[name]]
-            if diff != (span if sign > 0 else -span):
-                raise ResidualNotInSpan(f"elementary difference {triple} is not {name}")
-        elif diff.is_zero():
-            continue
-        else:
-            raise ResidualNotInSpan(f"elementary difference {triple} should vanish")
-        entries.append((triple, name, sign))
-    tops.plan = tuple(entries)
-    return tops.plan
-
-
-@functools.lru_cache(maxsize=None)
-def _default_entries() -> tuple:
-    """The classification for the constant projectors, derived on first use.
-
-    It runs over a throwaway TensorOps of the empty symbol table (a
-    constant identity holds in every table), so no matrix outlives it.
-    """
-    return _plan(TensorOps(SymbolTable([])))
-
-
 def expand_pybe_coefficients(
     first: tuple, middle: tuple, last: tuple, tops: Optional[TensorOps] = None
 ) -> dict:
     """Coefficients {a1, a2, b1, b2} of the residual on {s1, s2, j1, j2}.
 
-    Expands the residual multilinearly over the three slots, so each of
-    the 27 elementary letter triples contributes its parameter weight
-    times its difference matrix.  Twelve of those differences are the
-    combination basis; every other one is checked exactly against the
-    signed combination it must equal (or against zero).  The eight
-    three-factor totals are then collapsed with the reduction
-    identities, and the four surviving coefficients are checked to
-    recompose the residual.  Any failed check raises ResidualNotInSpan.
+    Expands the residual multilinearly over the three slots: each
+    _ENTRIES row adds its signed parameter weight to the total of its
+    span name.  The eight three-factor totals are then collapsed with
+    the reduction identities, and the four surviving coefficients are
+    checked exactly to recompose this triplet's residual, so every
+    returned coefficient set is certified; a failed recomposition raises
+    ResidualNotInSpan.
 
-    There is one route.  The classified entries come from _plan: for
-    the default projectors once per process (_default_entries), for an
-    explicit tops once per instance.  The letter differences and the
-    claims about them involve only the projectors, never the
-    parameters, so the entries hold for every triplet.  The span
-    matrices s1, s2, j1, j2 are the four differences of the TensorOps
-    in the caller's table (a fresh one for the default projectors), and
-    the recomposition check, which is what ties the coefficients to
-    this triplet's residual, runs on every call.
+    The classification in _ENTRIES concerns the constant projectors
+    only, never the parameters; _letter_claim_residuals checks it.  The
+    span matrices s1, s2, j1, j2 are differences of tops, by default a
+    fresh TensorOps in the caller's table.
 
     The two-factor span is linearly degenerate, j1 + j2 equals
     (s1 - s2)/2, so a bare entrywise linear solve cannot single out
     these coefficients; the formal reduction here does.
     """
     table = first[0].table
-    entries = _default_entries() if tops is None else _plan(tops)
     if tops is None:
         tops = TensorOps(table)
     weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
     totals = {name: table.zero() for name in _BASIS}
-    for (a, b, c), name, sign in entries:
+    for (a, b, c), name, sign in _ENTRIES:
         weight = weights[0][a] * weights[1][b] * weights[2][c]
         totals[name] = totals[name] + (weight if sign > 0 else -weight)
     coeffs = {}

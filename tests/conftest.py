@@ -61,7 +61,7 @@ def to_sympy(value):
 
 
 def expansion_by_plan(tops, first, middle, last):
-    """The sum of sign * w_a * w'_b * w''_c * basis[name] over ybe._plan(tops).
+    """The sum of sign * w_a * w'_b * w''_c * basis[name] over ybe._ENTRIES.
 
     The residual is multilinear in the three slots, so this test-side sum
     over the classified letter triples must equal it exactly.
@@ -70,7 +70,7 @@ def expansion_by_plan(tops, first, middle, last):
     basis = {name: ybe._letter_difference(tops, triple) for name, triple in ybe._BASIS.items()}
     weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
     total = SquareMatrix.zeros(table, 8)
-    for (a, b, c), name, sign in ybe._plan(tops):
+    for (a, b, c), name, sign in ybe._ENTRIES:
         total = total + (sign * weights[0][a] * weights[1][b] * weights[2][c]) * basis[name]
     return total
 

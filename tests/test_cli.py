@@ -294,6 +294,20 @@ def test_ncplane_bad_parameter_expression(capsys):
     assert "nesting deeper than 100 levels" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["ncplane", "s03", "--c=x1"], "x1"),
+    (["ncplane", "s03", "--c=2*xi1 + c"], "xi1"),
+    (["ncplane", "s14", "--kplus=x2"], "x2"),
+    (["ncplane", "s14", "--kplus=1", "--kzero=xi2/2"], "xi2"),
+])
+def test_ncplane_parameters_named_like_generators_are_input_errors(argv, name, capsys):
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: symbol {name!r} is reserved for the plane's generators"]
+
+
 @pytest.mark.parametrize("text, degree", [("(a+1)^1001", 1001), ("((a+1)^40)^40", 1600)])
 def test_ncplane_power_beyond_the_limit_is_an_input_error(text, degree, capsys):
     assert main(["ncplane", "s03", f"--c={text}"]) == 3
@@ -385,6 +399,7 @@ def test_digit_bounds_follow_a_lower_interpreter_limit(argv, message, capsys):
     (["baxterize", "s14", "--triplet=" + "9" * 5000 + ",0,1,0,1,0"], 3),
     (["baxterize", "s03", "--p=" + "9" * 4000], 3),
     (["analyze", "z" * 5000], 2),
+    (["analyze", "file:" + "a" * 5000], 3),
 ])
 def test_long_inputs_are_quoted_in_part(argv, code, capsys):
     assert main(argv) == code

@@ -95,6 +95,12 @@ def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
             "second braided matrix fails the first collapse stage in free coefficients",
         "s03-baxterisation": "first collapse stage fails in free coefficients",
     }
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_letter_claim_residuals",
+                        lambda t: {"xix": SquareMatrix.identity(t.table, 8)})
+    assert failed_sections() == {
+        "s14-combinations": "letter differences off the span: xix",
+    }
 
 
 def test_s14_section_builds_each_letter_difference_once(monkeypatch):

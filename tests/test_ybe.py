@@ -250,7 +250,7 @@ def test_expansion_identity_in_six_symbols():
     tops = TensorOps(free)
     assert expansion_by_plan(tops, first, middle, last) == s14_pybe_residual(first, middle, last)
     # the twelve classified names are exactly the combination basis
-    assert {name for _, name, _ in ybe._plan(tops)} == set(ybe._BASIS)
+    assert {name for _, name, _ in ybe._ENTRIES} == set(ybe._BASIS)
 
 
 def test_exchange_relations_hold_for_family_members():
@@ -310,34 +310,64 @@ def test_chain_values_and_pole():
 def test_perturbed_projectors_break_the_span():
     pair = s14_constant_projectors(T)
     fake = TensorOps(T, plus=_bump(pair["plus"]))
-    # a failed classification is not remembered: every call checks again
-    for _ in range(2):
-        with pytest.raises(ResidualNotInSpan):
-            expand_pybe_coefficients((X, T.zero()), (X, T.zero()), (X, T.zero()), fake)
+    with pytest.raises(ResidualNotInSpan, match="reduced coefficients fail to recompose"):
+        expand_pybe_coefficients((X, T.zero()), (X, T.zero()), (X, T.zero()), fake)
+
+
+# ------------------------------------------------------ letter classification
+
+
+def _classified_entries(tops):
+    """Reference: classify the 27 letter differences of tops onto the span.
+
+    Returns the (triple, span name, sign) entries of the differences
+    that do not vanish, in triple order, asserting each claim at matrix
+    level on the way.
+    """
+    diffs = {a + b + c: ybe._letter_difference(tops, a + b + c)
+             for a in "ixy" for b in "ixy" for c in "ixy"}
+    entries = []
+    for triple, diff in diffs.items():
+        if triple in ybe._NAMED:
+            name, sign = ybe._NAMED[triple], 1
+        elif triple in ybe._ELEMENTARY:
+            name, sign = ybe._ELEMENTARY[triple]
+            span = diffs[ybe._BASIS[name]]
+            assert diff == (span if sign > 0 else -span), triple
+        else:
+            assert diff.is_zero(), triple
+            continue
+        entries.append((triple, name, sign))
+    return tuple(entries)
+
+
+def test_static_entries_are_the_classification_of_the_constant_projectors():
+    assert ybe._ENTRIES == _classified_entries(TensorOps(SymbolTable([])))
+
+
+def test_letter_claims_hold_exactly_for_honest_projectors():
+    table = SymbolTable([])
+    residuals = ybe._letter_claim_residuals(TensorOps(table))
+    outside = [t for t in ybe._TRIPLES if t not in ybe._NAMED]
+    assert list(residuals) == outside and len(outside) == 15
+    assert all(value.is_zero() for value in residuals.values())
+    fake = TensorOps(table, plus=_bump(s14_constant_projectors(table)["plus"]))
+    residuals = ybe._letter_claim_residuals(fake)
+    assert [t for t, value in residuals.items() if not value.is_zero()] == ["xix", "xiy", "yix"]
 
 
 # ------------------------------------------------- hoisted letter differences
 
 
 def _per_call_expansion(first, middle, last):
-    """Reference: the expansion with all 27 differences rebuilt in the caller's table."""
+    """Reference: the expansion with all 27 differences classified in the caller's table."""
     table = first[0].table
     tops = TensorOps(table)
-    diffs = {a + b + c: ybe._letter_difference(tops, a + b + c)
-             for a in "ixy" for b in "ixy" for c in "ixy"}
-    basis = {name: diffs[triple] for name, triple in ybe._BASIS.items()}
+    entries = _classified_entries(tops)
+    basis = {name: ybe._letter_difference(tops, triple) for name, triple in ybe._BASIS.items()}
     weights = [{"i": table.one(), "x": v, "y": w} for v, w in (first, middle, last)]
     totals = {name: table.zero() for name in ybe._BASIS}
-    for triple, diff in diffs.items():
-        if triple in ybe._NAMED:
-            name, sign = ybe._NAMED[triple], 1
-        elif triple in ybe._ELEMENTARY:
-            name, sign = ybe._ELEMENTARY[triple]
-            assert diff == (basis[name] if sign > 0 else -basis[name])
-        else:
-            assert diff.is_zero()
-            continue
-        a, b, c = triple
+    for (a, b, c), name, sign in entries:
         weight = weights[0][a] * weights[1][b] * weights[2][c]
         totals[name] = totals[name] + (weight if sign > 0 else -weight)
     coeffs = {}
@@ -387,22 +417,21 @@ def test_hoisted_expansion_matches_the_per_call_route(triplet):
 
 def test_default_projectors_build_only_the_span_per_call(monkeypatch):
     pairs = (X, T.zero()), (T.one(), Y), (X, Y)
-    expand_pybe_coefficients(*pairs)
     calls, built = count_difference_builds(monkeypatch)
     expand_pybe_coefficients(*pairs)
     assert sorted(calls) == sorted(built) == ["iyx", "xii", "xyi", "yii"]
 
 
-def test_explicit_projectors_are_classified_once_per_instance(monkeypatch):
+def test_explicit_projectors_build_the_span_once_per_instance(monkeypatch):
     calls, built = count_difference_builds(monkeypatch)
     tops = TensorOps(T)
     pairs = (X, T.zero()), (T.one(), Y), (X, Y)
     first = expand_pybe_coefficients(*pairs, tops)
-    # 27 to classify, then the 4 span matrices read back from the memo
-    assert (len(calls), len(built)) == (31, 27)
-    assert sorted(built) == sorted(tops.diffs)
+    assert (len(calls), len(built)) == (4, 4)
+    assert sorted(built) == sorted(tops.diffs) == ["iyx", "xii", "xyi", "yii"]
+    # the second call reads the 4 span matrices back from the memo
     second = expand_pybe_coefficients(*pairs, tops)
-    assert (len(calls), len(built)) == (35, 27)
+    assert (len(calls), len(built)) == (8, 4)
     assert first == second == expand_pybe_coefficients(*pairs)
 
 
@@ -425,5 +454,5 @@ def test_importing_the_module_builds_no_difference():
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    # the first expansion builds the 27 differences once, then the span in x's table
-    assert proc.stdout.split() == ["0", "31"]
+    # the first expansion builds only the four span differences, in x's table
+    assert proc.stdout.split() == ["0", "4"]
