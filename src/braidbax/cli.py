@@ -14,7 +14,6 @@ be read or lies outside the searchable scalar domain.
 from __future__ import annotations
 
 import argparse
-import errno
 import json
 import re
 import sys
@@ -116,8 +115,9 @@ def _load_matrix(path: str) -> SquareMatrix:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as exc:
-        if exc.errno == errno.ENAMETOOLONG:
-            # such a path names no file, so an excerpt of it loses nothing
+        if len(path) > _EXCERPT:
+            # the OSError text repeats the path, so a long one (every path too
+            # long for the system among them) is quoted once, in part
             raise InputError(f"cannot read {_excerpt(path, str)}: {exc.strerror}") from exc
         raise InputError(f"cannot read {path}: {exc}") from exc
     except ValueError as exc:  # also an int beyond the interpreter's digit limit

@@ -16,12 +16,21 @@ matrices (and, for the second case, the projector constants used by the
 tensor machinery).  It exists so tests can confirm that each section
 really exercises the matrix it claims to: injecting a fault must flip
 exactly the sections that depend on the corrupted case.
+
+The plumbing section's 1000 seeded cases split into contiguous chunks,
+one per CPU the process may run on: the process checks the first chunk
+and forked children the others, each replaying the draws before its
+chunk without building values.  The lowest-index failure is reported
+with the text a one-chunk run gives, so the report does not depend on
+the CPU count; its elapsed time is wall time.  With one CPU, no fork or
+another live thread, every case is checked in process.
 """
 
 from __future__ import annotations
 
 import functools
 import json
+import os
 import random
 import time
 from dataclasses import asdict, dataclass, field
@@ -101,6 +110,11 @@ class Section:
     elapsed: float
 
 
+def _failure_text(exc: Exception) -> str:
+    """A failed check's detail: the CheckFailed text, else the exception's type and text."""
+    return str(exc) if isinstance(exc, CheckFailed) else f"{type(exc).__name__}: {exc}"
+
+
 def run_checks(checks: Iterable[Check]) -> Tuple[Section, ...]:
     """Run each check in order; failures become sections, never exceptions."""
     sections = []
@@ -109,11 +123,8 @@ def run_checks(checks: Iterable[Check]) -> Tuple[Section, ...]:
         try:
             detail = run()
             holds = True
-        except CheckFailed as exc:
-            detail = str(exc)
-            holds = False
         except Exception as exc:
-            detail = f"{type(exc).__name__}: {exc}"
+            detail = _failure_text(exc)
             holds = False
         sections.append(Section(name, holds, detail, time.perf_counter() - start))
     return tuple(sections)
@@ -359,12 +370,13 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
     return "both planes consistent, blocks and rewrite rules exactly as displayed"
 
 
-def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3) -> Scalar:
-    """A sum of 1..terms random terms (p/q + r/s*i) * prod name^k.
+def _scalar_parts(rng: random.Random, table: SymbolTable, names, terms: int = 3):
+    """The draws of a random scalar: the numerator and denominator dicts.
 
+    The scalar is a sum of 1..terms random terms (p/q + r/s*i) * prod name^k.
     p, r lie in -6..6, q, s in 1..4 and each k in -2..2, drawn in that
-    order per term.  The value is built as one polynomial over
-    12*prod name^2, which clears every q, s and negative k.
+    order per term.  The value is one polynomial over 12*prod name^2,
+    which clears every q, s and negative k.
     """
     positions = [table.index(name) for name in names]
     num = {}
@@ -382,52 +394,160 @@ def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3
         else:
             num.pop(key, None)
     den = tuple(2 if k in positions else 0 for k in range(table.n))
-    return Scalar(table, num, {den: (12, 0)})
+    return num, {den: (12, 0)}
 
 
-def _random_matrix(rng: random.Random, table: SymbolTable, names, n: int) -> SquareMatrix:
-    return SquareMatrix(table, [
-        [_random_scalar(rng, table, names, terms=2) for _ in range(n)]
-        for _ in range(n)
-    ])
+def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3) -> Scalar:
+    """The scalar whose parts _scalar_parts draws."""
+    return Scalar(table, *_scalar_parts(rng, table, names, terms))
+
+
+_PLUMBING_CASES = 1000
+
+
+def _case_draws(rng: random.Random, table: SymbolTable, index: int, make) -> list:
+    """make(rng, table, names, terms) for each scalar plumbing case `index` draws.
+
+    Case kind 8 draws four 2x2 matrices, over x, y, x and y alone; kind 9
+    one 2x2 matrix over x and y; every other kind three scalars over x
+    and y.  Matrix entries have at most two terms and come row by row.
+    """
+    kind = index % 10
+    if kind == 8:
+        return [make(rng, table, names, 2)
+                for names in (("x",), ("y",), ("x",), ("y",)) for _ in range(4)]
+    if kind == 9:
+        return [make(rng, table, ("x", "y"), 2) for _ in range(4)]
+    return [make(rng, table, ("x", "y"), 3) for _ in range(3)]
+
+
+def _check_case(table: SymbolTable, index: int, values: List[Scalar]) -> None:
+    kind = index % 10
+    if kind == 8:
+        a, b, c, d = (SquareMatrix(table, [values[k:k + 2], values[k + 2:k + 4]])
+                      for k in (0, 4, 8, 12))
+        _check(a.kron(b) * c.kron(d) == (a * c).kron(b * d),
+               f"mixed-product rule failed on case {index}")
+        return
+    if kind == 9:
+        m = SquareMatrix(table, [values[:2], values[2:]])
+        obj = json.loads(json.dumps(matrix_to_obj(m)))
+        _check(matrix_from_obj(obj, table) == m,
+               f"matrix serialisation failed to round-trip on case {index}")
+        return
+    a, b, c = values
+    _check(a + b == b + a and a * b == b * a, f"commutativity failed on case {index}")
+    _check((a + b) + c == a + (b + c), f"additive associativity failed on case {index}")
+    _check((a * b) * c == a * (b * c), f"multiplicative associativity failed on case {index}")
+    _check(a * (b + c) == a * b + a * c, f"distributivity failed on case {index}")
+    _check((a - a).is_zero(), f"additive inverse failed on case {index}")
+    if not b.is_zero():
+        _check((a / b) * b == a, f"division failed on case {index}")
+    _check((a * a.conjugate()).is_real(), f"norm realness failed on case {index}")
+    text = str(a)
+    parsed = parse(text, table)
+    _check(parsed == a and str(parsed) == text,
+           f"print/parse round-trip failed on case {index}")
+
+
+_Failure = Optional[Tuple[int, str]]
+
+
+def _check_cases(seed: int, lo: int, hi: int) -> _Failure:
+    """Check plumbing cases lo..hi-1 of the seed; the first failure as (index, detail).
+
+    The draws of the cases before lo are replayed without building their
+    values, so every chunk checks the inputs a one-chunk run gives it.
+    """
+    rng = random.Random(seed)
+    table = SymbolTable(["x", "y"])
+    for index in range(lo):
+        _case_draws(rng, table, index, _scalar_parts)
+    for index in range(lo, hi):
+        try:
+            _check_case(table, index, _case_draws(rng, table, index, _random_scalar))
+        except Exception as exc:
+            return index, _failure_text(exc)
+    return None
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, at most 10: one plumbing chunk each."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 10)
+
+
+def _fork_cases(seed: int, lo: int, hi: int) -> Tuple[int, int]:
+    """Check cases lo..hi-1 in a forked child; its pid and the pipe it answers on."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                pipe.write(json.dumps(_check_cases(seed, lo, hi)).encode())
+            status = 0
+        finally:
+            # never return into the parent's code, nor flush its buffers
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _child_result(pid: int, read: int, lo: int, hi: int) -> _Failure:
+    """Read a child's answer to the end, then reap it.
+
+    A child exits 0 only once its whole answer is written.
+    """
+    with os.fdopen(read, "rb") as pipe:
+        data = pipe.read()
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0 or not data:
+        return lo, f"plumbing cases {lo}..{hi - 1} ended without a result (exit status {code})"
+    found = json.loads(data)
+    return None if found is None else tuple(found)
+
+
+def _first_failure(seed: int) -> _Failure:
+    """The lowest-index failing plumbing case, or None.
+
+    The cases split into contiguous chunks, one per CPU: this process
+    checks the first while forked children check the rest.  With one
+    CPU, no fork or another live thread (a fork copies only the calling
+    thread) every case is checked here.
+    """
+    import threading  # here, like signal below, so that importing the package loads neither
+
+    chunks = _cpu_count()
+    if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return _check_cases(seed, 0, _PLUMBING_CASES)
+    bounds = [_PLUMBING_CASES * k // chunks for k in range(chunks + 1)]
+    children = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            children.append((*_fork_cases(seed, lo, hi), lo, hi))
+        found = [_check_cases(seed, 0, bounds[1])]
+    except BaseException:
+        import signal
+
+        for pid, *_ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        results = [_child_result(*child) for child in children]
+    return min((f for f in found + results if f is not None), default=None)
 
 
 def _sec_plumbing(seed: int, fault: Optional[str]) -> str:
-    rng = random.Random(seed)
-    table = SymbolTable(["x", "y"])
-    names = ("x", "y")
-    cases = 1000
-    for index in range(cases):
-        kind = index % 10
-        if kind == 8:
-            a = _random_matrix(rng, table, names[:1], 2)
-            b = _random_matrix(rng, table, names[1:], 2)
-            c = _random_matrix(rng, table, names[:1], 2)
-            d = _random_matrix(rng, table, names[1:], 2)
-            _check(a.kron(b) * c.kron(d) == (a * c).kron(b * d),
-                   f"mixed-product rule failed on case {index}")
-            continue
-        if kind == 9:
-            m = _random_matrix(rng, table, names, 2)
-            obj = json.loads(json.dumps(matrix_to_obj(m)))
-            _check(matrix_from_obj(obj, table) == m,
-                   f"matrix serialisation failed to round-trip on case {index}")
-            continue
-        a = _random_scalar(rng, table, names)
-        b = _random_scalar(rng, table, names)
-        c = _random_scalar(rng, table, names)
-        _check(a + b == b + a and a * b == b * a, f"commutativity failed on case {index}")
-        _check((a + b) + c == a + (b + c), f"additive associativity failed on case {index}")
-        _check((a * b) * c == a * (b * c), f"multiplicative associativity failed on case {index}")
-        _check(a * (b + c) == a * b + a * c, f"distributivity failed on case {index}")
-        _check((a - a).is_zero(), f"additive inverse failed on case {index}")
-        if not b.is_zero():
-            _check((a / b) * b == a, f"division failed on case {index}")
-        _check((a * a.conjugate()).is_real(), f"norm realness failed on case {index}")
-        parsed = parse(str(a), table)
-        _check(parsed == a and str(parsed) == str(a),
-               f"print/parse round-trip failed on case {index}")
-    return f"{cases} randomised cases (field axioms, round-trips, tensor products), seed {seed}"
+    failure = _first_failure(seed)
+    if failure is not None:
+        raise CheckFailed(failure[1])
+    return (f"{_PLUMBING_CASES} randomised cases (field axioms, round-trips, tensor products), "
+            f"seed {seed}")
 
 
 _SECTIONS: Tuple[Tuple[str, Callable[[int, Optional[str]], str]], ...] = (

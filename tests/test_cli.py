@@ -400,6 +400,7 @@ def test_digit_bounds_follow_a_lower_interpreter_limit(argv, message, capsys):
     (["baxterize", "s03", "--p=" + "9" * 4000], 3),
     (["analyze", "z" * 5000], 2),
     (["analyze", "file:" + "a" * 5000], 3),
+    (["analyze", "file:" + "a/" * 2000], 3),
 ])
 def test_long_inputs_are_quoted_in_part(argv, code, capsys):
     assert main(argv) == code

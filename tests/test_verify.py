@@ -1,12 +1,19 @@
 """End-to-end self-check harness: clean pass and fault injection."""
 
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from braidbax import Report, SquareMatrix, SymbolTable, builtin_case, run_all, verify
-from braidbax.verify import FAULT_TARGETS, _random_scalar, run_checks, section_checks
+from braidbax.verify import (
+    FAULT_TARGETS,
+    CheckFailed,
+    _random_scalar,
+    run_checks,
+    section_checks,
+)
 
 from conftest import count_difference_builds, golden, without_elapsed
 
@@ -143,6 +150,109 @@ def test_projector_suites_fail_under_each_fault_with_the_golden_detail(fault):
 def test_unknown_fault_target_is_rejected():
     with pytest.raises(ValueError):
         run_all(fault="s99")
+
+
+def _plumbing_in_chunks(monkeypatch, chunks, seed=0):
+    """The plumbing section over the given chunk count; every child reaped after it."""
+    forks = []
+    real_fork = verify._fork_cases
+
+    def fork(seed, lo, hi):
+        forks.append((lo, hi))
+        return real_fork(seed, lo, hi)
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: chunks)
+    monkeypatch.setattr(verify, "_fork_cases", fork)
+    (section,) = run_checks([c for c in section_checks(seed) if c[0] == "plumbing"])
+    assert len(forks) == chunks - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return section
+
+
+def _fail_plumbing_at(monkeypatch, failures):
+    """Replace each plumbing case's check: failures[index](index) runs there, nothing elsewhere."""
+    def check(table, index, values):
+        if index in failures:
+            failures[index](index)
+
+    monkeypatch.setattr(verify, "_check_case", check)
+
+
+def _check_failed(index):
+    raise CheckFailed(f"commutativity failed on case {index}")
+
+
+def _zero_division(index):
+    raise ZeroDivisionError("division by zero")
+
+
+def test_a_chunk_checks_the_cases_a_one_chunk_run_gives_it(monkeypatch):
+    seen = []
+    monkeypatch.setattr(verify, "_check_case",
+                        lambda table, index, values: seen.append((index, list(map(str, values)))))
+    assert verify._check_cases(5, 0, 1000) is None
+    whole = seen[:]
+    seen.clear()
+    for lo, hi in ((0, 333), (333, 667), (667, 1000)):
+        assert verify._check_cases(5, lo, hi) is None
+    assert [index for index, _ in whole] == list(range(1000))
+    assert seen == whole
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_plumbing_report_does_not_depend_on_the_chunk_count(seed, monkeypatch):
+    seen = {(s.holds, s.detail) for s in
+            (_plumbing_in_chunks(monkeypatch, chunks, seed) for chunks in (1, 2, 4))}
+    assert seen == {
+        (True, f"1000 randomised cases (field axioms, round-trips, tensor products), seed {seed}")
+    }
+
+
+@pytest.mark.parametrize("fail, detail", [
+    (_check_failed, "commutativity failed on case 777"),
+    (_zero_division, "ZeroDivisionError: division by zero"),
+])
+def test_a_failure_in_a_child_chunk_reads_as_in_one_chunk(fail, detail, monkeypatch):
+    _fail_plumbing_at(monkeypatch, {777: fail})
+    for chunks in (1, 2, 4):
+        section = _plumbing_in_chunks(monkeypatch, chunks)
+        assert (section.holds, section.detail) == (False, detail), chunks
+
+
+def test_the_lowest_failing_case_wins_across_chunks(monkeypatch):
+    _fail_plumbing_at(monkeypatch, {index: _check_failed for index in (950, 800, 300)})
+    for chunks in (1, 2, 4):
+        section = _plumbing_in_chunks(monkeypatch, chunks)
+        assert (section.holds, section.detail) == (False, "commutativity failed on case 300")
+
+
+def test_a_child_that_exits_without_a_result_fails_the_section(monkeypatch):
+    parent = os.getpid()
+
+    def leave(index):
+        if os.getpid() != parent:
+            os._exit(3)
+
+    _fail_plumbing_at(monkeypatch, {700: leave})
+    section = _plumbing_in_chunks(monkeypatch, 2)
+    assert not section.holds
+    assert section.detail == "plumbing cases 500..999 ended without a result (exit status 3)"
+
+
+def test_children_are_reaped_when_the_parent_chunk_raises(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    def interrupt(index):
+        raise Interrupt
+
+    _fail_plumbing_at(monkeypatch, {10: interrupt})
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 4)
+    with pytest.raises(Interrupt):
+        verify._sec_plumbing(0, None)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _random_scalar_by_arithmetic(rng, table, names, terms=3):
