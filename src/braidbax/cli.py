@@ -37,7 +37,8 @@ from .ncplane import (
     s14_plane,
 )
 from .parser import MAX_EXPONENT, ParseError, parse
-from .scalar import PoleError, PrintLimitExceeded, SymbolTable, UnknownSymbol
+from .scalar import (ExponentLimitExceeded, PoleError, PrintLimitExceeded, SymbolTable,
+                     UnknownSymbol)
 from .spectral import (
     IrreducibleOverSearchSpace,
     RepeatedRoots,
@@ -465,7 +466,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, PrintLimitExceeded) as exc:
+    except (InputError, PrintLimitExceeded, ExponentLimitExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     return 0 if report.holds else 1

@@ -30,7 +30,9 @@ printing an int, and neither may an integer literal; when the
 interpreter's own limit (sys.get_int_max_str_digits) is lower, that
 limit bounds both instead.  Units never grow, so 'i^99999' and
 'x^20000' parse, while '2^99999999999' raises ParseError without
-allocating.  str(Scalar) prints no power of a
+allocating.  The exponents it scales are bounded by the scalar layer:
+'(a^99999999999)^99999999999' passes scalar.MAX_SYMBOL_EXPONENT and
+raises ExponentLimitExceeded.  str(Scalar) prints no power of a
 number, so everything it prints still parses back.
 """
 
@@ -160,7 +162,7 @@ def _power(cur: _Cursor, table: SymbolTable) -> Scalar:
         pos = cur.current()[2]
         e = _exponent(cur)
         if len(value.num) > 1 or len(value.den) > 1:
-            degree = abs(e) * max(sum(x) for x in (*value.num, *value.den))
+            degree = abs(e) * max(sum(table._unpack(x)) for x in (*value.num, *value.den))
             if degree > MAX_EXPONENT:
                 raise ParseError(f"power of a sum reaches total degree {degree}, "
                                  f"beyond the limit {MAX_EXPONENT}", pos)

@@ -1,9 +1,27 @@
 """Exact scalars: complex rationals extended by commuting formal symbols.
 
 Values live in the fraction field Q(i)(s1, ..., sn).  A Scalar stores a
-numerator and a denominator, each a sparse polynomial mapping exponent
-tuples to Gaussian-integer coefficients, held as (re, im) pairs of
-Python ints.  All arithmetic is exact.
+numerator and a denominator, each a sparse polynomial mapping packed
+exponent keys to Gaussian-integer coefficients, held as (re, im) pairs
+of Python ints.  All arithmetic is exact.
+
+A key is one non-negative int holding a monomial's exponents, one
+64-bit field per symbol, symbol 0 in the most significant field
+(Monagan & Pearce, CASC 2007).  A product of monomials is then one int
+addition, a power one int multiplication and a shift one subtraction.
+Since every field is below 2^64, comparing keys as ints compares their
+exponent tuples lexicographically, so the leading term, the sort order
+of printing and every canonical choice below are those of the tuples.
+SymbolTable._pack and SymbolTable._unpack convert between the two.
+
+A stored exponent may not exceed MAX_SYMBOL_EXPONENT = 2^40 - 1.  The
+fields then never carry into each other: a product or a sum of stored
+forms stays far below 2^64 in every field until the next
+canonicalisation, which checks its stored keys with one OR against the
+table's guard mask (the bits of each field above the bound) and raises
+ExponentLimitExceeded past it.  The one-term power checks its largest
+exponent times |e| before it multiplies, since a product past 2^64
+would carry before any check could see it.
 
 Canonical form, re-established by every constructor:
 
@@ -65,10 +83,14 @@ import sys
 from fractions import Fraction
 from functools import reduce
 from itertools import chain
-from operator import add, sub
+from operator import add, or_
 from typing import Iterable, Optional, Sequence
 
 __all__ = ["PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
+
+MAX_SYMBOL_EXPONENT = (1 << 40) - 1  # the largest exponent of one symbol in a stored form
+_FIELD_BITS = 64
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
 
 
 class UnknownSymbol(Exception):
@@ -83,6 +105,13 @@ class PrintLimitExceeded(Exception):
     """A value has an int longer than the interpreter converts to text."""
 
 
+class ExponentLimitExceeded(OverflowError):
+    """A value needs a symbol exponent beyond MAX_SYMBOL_EXPONENT."""
+
+    def __init__(self, name: str):
+        super().__init__(f"exponent of {name} beyond the limit {MAX_SYMBOL_EXPONENT}")
+
+
 class SymbolTable:
     """An ordered set of commuting symbol names shared by related scalars.
 
@@ -90,7 +119,7 @@ class SymbolTable:
     mixing scalars from tables with different names raises ValueError.
     """
 
-    __slots__ = ("names", "n", "_pos")
+    __slots__ = ("names", "n", "_pos", "_shifts", "_masks", "_guard")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -106,6 +135,10 @@ class SymbolTable:
         self.names = names
         self.n = len(names)
         self._pos = {name: k for k, name in enumerate(names)}
+        # the bit offset and the mask of each symbol's field in a key, symbol 0 highest
+        self._shifts = tuple(_FIELD_BITS * (self.n - 1 - k) for k in range(self.n))
+        self._masks = tuple(_FIELD_MASK << s for s in self._shifts)
+        self._guard = self._pack([_FIELD_MASK ^ MAX_SYMBOL_EXPONENT] * self.n)
 
     def __repr__(self):
         return f"SymbolTable({list(self.names)!r})"
@@ -115,6 +148,21 @@ class SymbolTable:
 
     def __hash__(self):
         return hash(self.names)
+
+    def _pack(self, exps) -> int:
+        """The key of the non-negative exponents exps, one per symbol."""
+        return sum(e << s for e, s in zip(exps, self._shifts))
+
+    def _unpack(self, key: int) -> tuple:
+        """The exponent tuple of a key, one per symbol."""
+        return tuple((key >> s) & _FIELD_MASK for s in self._shifts)
+
+    def _check(self, bits: int) -> None:
+        """Raise ExponentLimitExceeded if bits, an OR of keys, passes the bound."""
+        if bits & self._guard:
+            for name, e in zip(self.names, self._unpack(bits)):
+                if e > MAX_SYMBOL_EXPONENT:
+                    raise ExponentLimitExceeded(name)
 
     def index(self, name: str) -> int:
         try:
@@ -141,8 +189,7 @@ class SymbolTable:
             re, d = value.numerator, value.denominator
         else:
             raise TypeError(f"cannot make a scalar from a {type(value).__name__}")
-        key = (0,) * self.n
-        return Scalar(self, {key: (re, 0)} if re else {}, {key: (d, 0)})
+        return Scalar(self, {0: (re, 0)} if re else {}, {0: (d, 0)})
 
     def zero(self) -> "Scalar":
         return self.scalar(0)
@@ -151,19 +198,16 @@ class SymbolTable:
         return self.scalar(1)
 
     def i(self) -> "Scalar":
-        key = (0,) * self.n
-        return Scalar(self, {key: (0, 1)}, {key: (1, 0)})
+        return Scalar(self, {0: (0, 1)}, {0: (1, 0)})
 
     def symbol(self, name: str) -> "Scalar":
-        k = self.index(name)
-        key = tuple(1 if j == k else 0 for j in range(self.n))
-        return Scalar(self, {key: (1, 0)}, {(0,) * self.n: (1, 0)})
+        return Scalar(self, {1 << self._shifts[self.index(name)]: (1, 0)}, {0: (1, 0)})
 
     def symbols(self, *names: str):
         return tuple(self.symbol(name) for name in names)
 
 
-# -- sparse polynomials: {exponent tuple: (re, im) int pair}, no zero values --
+# -- sparse polynomials: {packed key: (re, im) int pair}, no zero values --
 
 
 def _padd(a, b):
@@ -189,7 +233,7 @@ def _pmul(a, b, out=None):
     get = out.get
     for ea, (ar, ai) in a.items():
         for eb, (br, bi) in b.items():
-            e = tuple(map(add, ea, eb))
+            e = ea + eb
             r = ar * br - ai * bi
             i = ar * bi + ai * br
             s = get(e)
@@ -342,61 +386,74 @@ def _ugcd(a, b):
     return {0: (1, 0)}
 
 
-def _canonical(n, num, den):
+def _fields(masks, keys, pick) -> int:
+    """The key whose every field is pick (min or max) of that field over keys."""
+    out = 0
+    for m in masks:
+        out |= pick(map(m.__and__, keys))
+    return out
+
+
+def _canonical(table, num, den):
     if not den:
         raise PoleError("denominator is identically zero")
-    one_key = (0,) * n
     if not num:
-        return {}, {one_key: (1, 0)}
+        return {}, {0: (1, 0)}
 
-    cols = list(zip(*num, *den))
-    mins = [min(c) for c in cols]
-    if any(mins):
-        num = {tuple(map(sub, e, mins)): c for e, c in num.items()}
-        den = {tuple(map(sub, e, mins)): c for e, c in den.items()}
+    if 0 not in num and 0 not in den:
+        # a zero key already makes every field's minimum zero
+        lo = _fields(table._masks, [*num, *den], min)
+        if lo:
+            num = {e - lo: c for e, c in num.items()}
+            den = {e - lo: c for e, c in den.items()}
+    # every field's minimum is now zero, so a field of bits is nonzero
+    # exactly when its symbol is active
+    bits = reduce(or_, chain(num, den))
+    table._check(bits)
     if len(den) > 1 and num.keys() == den.keys():
         # num = (nc/dc)*den, a constant, exactly when all cross products agree
         lead = next(iter(den))
         nc, dc = num[lead], den[lead]
         if all(_gmul(num[e], dc) == _gmul(den[e], nc) for e in den):
-            num, den = {one_key: nc}, {one_key: dc}
+            num, den = {0: nc}, {0: dc}
 
     if len(num) > 1 and len(den) > 1:
-        active = [k for k, c in enumerate(cols) if max(c) != mins[k]]
+        active = [s for s in table._shifts if (bits >> s) & _FIELD_MASK]
         if len(active) == 1:
-            k = active[0]
-            a = {e[k]: c for e, c in num.items()}
-            b = {e[k]: c for e, c in den.items()}
+            # every other field is zero, so a key is its degree shifted by s
+            s, = active
+            a = {e >> s: c for e, c in num.items()}
+            b = {e >> s: c for e, c in den.items()}
             g = _ugcd(a, b)
             if max(g):
                 # exact by Gauss's lemma, g being primitive
                 (qa, ra), (qb, rb) = _divide(a, g), _divide(b, g)
                 assert not (ra or rb), "polynomial division was not exact"
-                num = {one_key[:k] + (d,) + one_key[k + 1:]: c for d, c in qa.items()}
-                den = {one_key[:k] + (d,) + one_key[k + 1:]: c for d, c in qb.items()}
+                num = {d << s: c for d, c in qa.items()}
+                den = {d << s: c for d, c in qb.items()}
 
-    if len(den) == 1 and one_key in den:
-        return _over_int(one_key, num, den[one_key])
+    if len(den) == 1 and 0 in den:
+        return _over_int(num, den[0])
     return _over_content(num, den)
 
 
-def _canonical_term(one_key, num, den):
+def _canonical_term(table, num, den):
     # c*x^a / (d*x^b): the shift by formula, then _canonical's last step
     (a, c), = num.items()
     (b, d), = den.items()
     if a == b:
-        a = b = one_key
-    else:
-        lo = tuple(map(min, a, b))
-        if any(lo):
-            a = tuple(map(sub, a, lo))
-            b = tuple(map(sub, b, lo))
-    if b == one_key:
-        return _over_int(one_key, {a: c}, d)
+        a = b = 0
+    elif a and b:
+        lo = _fields(table._masks, (a, b), min)
+        a -= lo
+        b -= lo
+    table._check(a | b)
+    if not b:
+        return _over_int({a: c}, d)
     return _over_content({a: c}, {b: d})
 
 
-def _over_int(one_key, num, d):
+def _over_int(num, d):
     # num over the nonzero Gaussian integer d, as num' over a positive int
     d, di = d
     if di or d < 0:
@@ -408,7 +465,7 @@ def _over_int(one_key, num, d):
         if g != 1:
             num = _pscale(num, (1, 0), g)
             d //= g
-    return num, {one_key: (d, 0)}
+    return num, {0: (d, 0)}
 
 
 def _over_content(num, den):
@@ -429,9 +486,9 @@ class Scalar:
     def __init__(self, table: SymbolTable, num: dict, den: dict):
         self.table = table
         if len(num) == 1 and len(den) == 1:
-            self.num, self.den = _canonical_term((0,) * table.n, num, den)
+            self.num, self.den = _canonical_term(table, num, den)
         else:
-            self.num, self.den = _canonical(table.n, num, den)
+            self.num, self.den = _canonical(table, num, den)
 
     # -- predicates --
 
@@ -515,11 +572,15 @@ class Scalar:
                 raise PoleError("zero raised to a negative power")
             num, den, e = den, num, -e
         if len(num) == 1 and len(den) == 1:
-            # one term over one term: scale the exponents, power the coefficients
+            # one term over one term: scale the exponents, power the coefficients;
+            # the bound is checked first, as a field past 2^64 would carry
             (a, c), = num.items()
             (b, d), = den.items()
-            return Scalar(self.table, {tuple(x * e for x in a): _gpow(c, e)},
-                          {tuple(x * e for x in b): _gpow(d, e)})
+            table = self.table
+            for name, x in zip(table.names, table._unpack(a | b)):
+                if x * e > MAX_SYMBOL_EXPONENT:
+                    raise ExponentLimitExceeded(name)
+            return Scalar(table, {a * e: _gpow(c, e)}, {b * e: _gpow(d, e)})
         base = self if num is self.num else Scalar(self.table, num, den)
         return _power(self.table.one(), base, e)
 
@@ -582,15 +643,16 @@ def _dot(table: SymbolTable, pairs) -> Scalar:
         (eb, cb), = b.den.items()
         # a*b = a.num*b.num*conj(c) / (|c|^2 * x^m) for c = ca*cb, m = ea + eb
         cr, ci = _gmul(ca, cb)
-        terms.append((a.num, b.num, (cr, -ci), cr * cr + ci * ci, tuple(map(add, ea, eb))))
+        terms.append((a.num, b.num, (cr, -ci), cr * cr + ci * ci, ea + eb))
     lcm = math.lcm(*(t[3] for t in terms))
-    top = tuple(map(max, zip(*(t[4] for t in terms))))
+    tops = {t[4] for t in terms}
+    top = tops.pop() if len(tops) == 1 else _fields(table._masks, tops, max)
     num = {}
     for anum, bnum, (hr, hi), norm, m in terms:
         s = lcm // norm
         h = (hr * s, hi * s)
-        shift = tuple(map(sub, top, m))
-        _pmul({tuple(map(add, e, shift)): _gmul(c, h) for e, c in anum.items()}, bnum, num)
+        shift = top - m  # no field borrows: top is m's fieldwise maximum
+        _pmul({e + shift: _gmul(c, h) for e, c in anum.items()}, bnum, num)
     return Scalar(table, num, {top: (lcm, 0)})
 
 
@@ -607,8 +669,9 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
         return None
     (ne, nc), = value.num.items()
     (de, dc), = value.den.items()
-    if any(x % 2 for x in (*ne, *de)):
-        return None
+    table = value.table
+    if (ne | de) & table._pack([1] * table.n):
+        return None  # an odd exponent
     # nc/dc = z/m^2 for the Gaussian integer z = nc*conj(dc)*m, m = |dc|^2
     m = dc[0] * dc[0] + dc[1] * dc[1]
     c, d = _gmul(nc, (dc[0] * m, -dc[1] * m))
@@ -624,9 +687,8 @@ def sqrt_scalar(value: Scalar) -> Optional[Scalar]:
         if a * a != abs(c):
             return None
         root = (a, 0) if c > 0 else (0, a)
-    return Scalar(value.table,
-                  {tuple(x // 2 for x in ne): root},
-                  {tuple(x // 2 for x in de): (m, 0)})
+    # every field even: one shift halves them all
+    return Scalar(table, {ne >> 1: root}, {de >> 1: (m, 0)})
 
 
 # -- text form -------------------------------------------------------------
@@ -669,9 +731,10 @@ def _join_terms(pieces: Sequence[str]) -> str:
     return out
 
 
-def _poly_str(names, poly, d: int) -> str:
+def _poly_str(table, poly, d: int) -> str:
     # the int-pair polynomial divided by the positive int d
-    return _join_terms([_term_str(names, e, Fraction(poly[e][0], d), Fraction(poly[e][1], d))
+    return _join_terms([_term_str(table.names, table._unpack(e),
+                                  Fraction(poly[e][0], d), Fraction(poly[e][1], d))
                         for e in sorted(poly, reverse=True)])
 
 
@@ -680,17 +743,16 @@ def _is_bare_mixed(poly) -> bool:
     if len(poly) != 1:
         return False
     (e, (re, im)), = poly.items()
-    return not any(e) and bool(re) and bool(im)
+    return not e and bool(re) and bool(im)
 
 
 def _scalar_str(s: Scalar) -> str:
-    names = s.table.names
+    table = s.table
     den = s.den
-    one_key = (0,) * s.table.n
-    if len(den) == 1 and one_key in den:
-        return _poly_str(names, s.num, den[one_key][0])
-    num = _poly_str(names, s.num, 1)
-    den = _poly_str(names, den, 1)
+    if len(den) == 1 and 0 in den:
+        return _poly_str(table, s.num, den[0][0])
+    num = _poly_str(table, s.num, 1)
+    den = _poly_str(table, den, 1)
     if len(s.num) > 1 or _is_bare_mixed(s.num):
         num = f"({num})"
     if len(s.den) > 1 or "*" in den or den.startswith("-") or _is_bare_mixed(s.den):

@@ -95,7 +95,7 @@ def _trial_root(poly: UnivariatePoly) -> Optional[Scalar]:
     # candidates: unit * monomial divisor of the (nonzero) constant term
     table = poly.table
     c0 = poly.coeffs[0]
-    emin = [min(e[k] for e in c0.num) for k in range(table.n)]
+    emin = [min(col) for col in zip(*map(table._unpack, c0.num))]
     one = table.one()
     units = (one, -one, table.i(), -table.i())
     for exps in itertools.product(*(range(m + 1) for m in emin)):

@@ -386,14 +386,14 @@ def _scalar_parts(rng: random.Random, table: SymbolTable, names, terms: int = 3)
         exps = [0] * table.n
         for k in positions:
             exps[k] = rng.randint(-2, 2) + 2
-        key = tuple(exps)
+        key = table._pack(exps)
         old_re, old_im = num.get(key, (0, 0))
         re, im = old_re + re, old_im + im
         if re or im:
             num[key] = (re, im)
         else:
             num.pop(key, None)
-    den = tuple(2 if k in positions else 0 for k in range(table.n))
+    den = table._pack([2 if k in positions else 0 for k in range(table.n)])
     return num, {den: (12, 0)}
 
 

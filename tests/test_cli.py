@@ -328,6 +328,17 @@ def test_analyze_file_power_beyond_the_limit_is_an_input_error(tmp_path, capsys)
         "total degree 1001, beyond the limit 1000 (at position 6)"]
 
 
+def test_exponents_beyond_the_key_bound_are_input_errors(capsys):
+    # a one-term power scales its exponents, each up to 2^40 - 1
+    assert main(["ncplane", "s03", "--c=a^99999999999"]) == 0
+    capsys.readouterr()
+    assert main(["ncplane", "s03", "--c=(a^99999999999)^99999999999"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "input error: exponent of a beyond the limit 1099511627775"]
+
+
 _HUGE = [
     (["ncplane", "s03", "--c=99^2200"],
      "input error: cannot parse parameter '99^2200': power of a single term reaches "

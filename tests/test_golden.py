@@ -3,8 +3,11 @@
 golden.json holds, per command line, the exit code, the stdout and the
 first stderr line of cli.main.  JSON reports are stored parsed, with the
 per-section `elapsed` timings removed, since those are the one field that
-differs between runs.  File targets live in a temporary directory whose
-path is recorded as {dir}.
+differs between runs.  File targets live in the directory INPUTS, named
+relative to a temporary working directory and recorded as {dir}; a short
+relative name keeps every path far below the 60 characters past which
+the command line quotes a path in part, wherever the temporary
+directory lies.
 
 The same file holds the verify-all outputs, which test_verify.py and
 test_cli.py compare inside the tests that already pay for a full run.
@@ -70,11 +73,14 @@ COMMANDS = (
     "ncplane s14 --c=1",
 )
 
+INPUTS = Path("golden-inputs")
 
-def write_inputs(path: Path) -> Path:
+
+def write_inputs(base: Path) -> None:
+    """The files of FILES, written to INPUTS under base."""
+    (base / INPUTS).mkdir()
     for name, text in FILES.items():
-        (path / name).write_text(text)
-    return path
+        (base / INPUTS / name).write_text(text)
 
 
 def run_command(command: str, fmt: str, workdir: Path) -> dict:
@@ -94,7 +100,11 @@ def run_command(command: str, fmt: str, workdir: Path) -> dict:
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
-    return write_inputs(tmp_path_factory.mktemp("golden"))
+    base = tmp_path_factory.mktemp("golden")
+    write_inputs(base)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(base)
+        yield INPUTS
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -108,12 +118,13 @@ def _record() -> dict:
     from braidbax.verify import run_all
 
     cli = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        path = write_inputs(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        write_inputs(Path(tmp))
+        patch.chdir(tmp)
         for command in COMMANDS:
             for fmt in ("text", "json"):
-                cli[f"{command} --format {fmt}"] = run_command(command, fmt, path)
-        injected = run_command("verify-all --inject-fault s03", "json", path)
+                cli[f"{command} --format {fmt}"] = run_command(command, fmt, INPUTS)
+        injected = run_command("verify-all --inject-fault s03", "json", INPUTS)
     clean = run_all(seed=0)
     fault = run_all(seed=0, fault="s14")
     verify = {

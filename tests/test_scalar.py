@@ -1,22 +1,33 @@
 """The exact scalar field: Gaussian-rational coefficients, Laurent monomials."""
 
+import math
 import operator
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 
 import pytest
 from hypothesis import given, strategies as st
 
 from braidbax import PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
 from braidbax.scalar import (
+    MAX_SYMBOL_EXPONENT,
+    ExponentLimitExceeded,
     _canonical,
     _canonical_term,
     _content,
+    _divide,
     _dot,
     _gint_gcd,
     _gmul,
+    _gpow,
     _normaliser,
+    _over_content,
+    _over_int,
+    _padd,
+    _pmul,
     _power,
+    _ugcd,
 )
 
 from conftest import TABLE, nonzero_scalars, scalars, to_sympy
@@ -151,14 +162,18 @@ def _factor(draw, table, laurent_only):
     return value / (table.symbol(name) + draw(st.integers(1, 3)))
 
 
+def _keys(table, n_max=6):
+    """Packed keys of exponents 0..n_max; the kernel never sees a negative one."""
+    return st.tuples(*[st.integers(0, n_max)] * table.n).map(table._pack)
+
+
 @given(st.data())
 def test_one_term_route_matches_the_general_route(data):
-    n = data.draw(st.integers(1, 3))
-    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    table = data.draw(st.sampled_from(_TABLES))
     common = data.draw(_gints)  # a shared factor, so that content is found
-    num = {data.draw(exps): _gmul(common, data.draw(_gints))}
-    den = {data.draw(exps): _gmul(common, data.draw(_gints))}
-    assert _canonical_term((0,) * n, num, den) == _canonical(n, num, den)
+    num = {data.draw(_keys(table)): _gmul(common, data.draw(_gints))}
+    den = {data.draw(_keys(table)): _gmul(common, data.draw(_gints))}
+    assert _canonical_term(table, num, den) == _canonical(table, num, den)
 
 
 @given(st.lists(_gints, min_size=1, max_size=5), _gints, st.integers(1, 6))
@@ -175,9 +190,8 @@ def test_integer_first_content_gives_the_euclid_forms(coeffs, common, k):
 @given(st.data(), st.integers(-6, 6))
 def test_one_term_power_matches_square_and_multiply(data, e):
     table = data.draw(st.sampled_from(_TABLES))
-    exps = st.tuples(*[st.integers(0, 3)] * table.n)
-    value = Scalar(table, {data.draw(exps): data.draw(_gints)},
-                   {data.draw(exps): data.draw(_gints)})
+    value = Scalar(table, {data.draw(_keys(table, 3)): data.draw(_gints)},
+                   {data.draw(_keys(table, 3)): data.draw(_gints)})
     base = value if e >= 0 else Scalar(table, value.den, value.num)
     assert _forms(value ** e) == _forms(_power(table.one(), base, abs(e)))
 
@@ -190,6 +204,186 @@ def test_dot_matches_the_step_by_step_sum(laurent_only, data):
     pairs = data.draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=4))
     want = reduce(operator.add, (a * b for a, b in pairs))
     assert _forms(_dot(table, pairs)) == _forms(want)
+
+
+# ------------------------------------------------------- packed exponent keys
+#
+# A key packs a monomial's exponents into one int, one field per symbol.
+# The reference below is the kernel written on exponent tuples; each packed
+# route must store the forms it stores, read back through _unpack.
+
+_WIDE = [SymbolTable([f"s{k}" for k in range(n)]) for n in range(8)]
+_fields = st.integers(0, MAX_SYMBOL_EXPONENT) | st.sampled_from([0, 1, MAX_SYMBOL_EXPONENT])
+
+
+@given(st.data())
+def test_packing_round_trips_and_keeps_tuple_order(data):
+    table = data.draw(st.sampled_from(_WIDE))
+    e = data.draw(st.tuples(*[_fields] * table.n))
+    # f shares a prefix of e, so that later fields decide the order too
+    k = data.draw(st.integers(0, table.n))
+    f = e[:k] + data.draw(st.tuples(*[_fields] * (table.n - k)))
+    assert table._unpack(table._pack(e)) == e
+    assert (table._pack(e) < table._pack(f)) == (e < f)
+    assert (table._pack(e) == table._pack(f)) == (e == f)
+
+
+def _tuples(table, poly):
+    return {table._unpack(e): c for e, c in poly.items()}
+
+
+def _tuple_forms(value):
+    return _tuples(value.table, value.num), _tuples(value.table, value.den)
+
+
+def _ref_pmul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            out = _padd(out, {tuple(map(operator.add, ea, eb)): _gmul(ca, cb)})
+    return out
+
+
+def _ref_canonical(n, num, den):
+    one = (0,) * n
+    if not num:
+        return {}, {one: (1, 0)}
+    mins = [min(col) for col in zip(*num, *den)]
+    num = {tuple(map(operator.sub, e, mins)): c for e, c in num.items()}
+    den = {tuple(map(operator.sub, e, mins)): c for e, c in den.items()}
+    if len(den) > 1 and num.keys() == den.keys():
+        lead = next(iter(den))
+        if all(_gmul(num[e], den[lead]) == _gmul(den[e], num[lead]) for e in den):
+            num, den = {one: num[lead]}, {one: den[lead]}
+    active = [k for k in range(n) if any(e[k] for e in chain(num, den))]
+    if len(num) > 1 and len(den) > 1 and len(active) == 1:
+        k, = active
+        a = {e[k]: c for e, c in num.items()}
+        b = {e[k]: c for e, c in den.items()}
+        g = _ugcd(a, b)
+        if max(g):
+            num = {one[:k] + (d,) + one[k + 1:]: c for d, c in _divide(a, g)[0].items()}
+            den = {one[:k] + (d,) + one[k + 1:]: c for d, c in _divide(b, g)[0].items()}
+    if len(den) == 1 and one in den:
+        num, d = _over_int(num, den[one])
+        return num, {one: d[0]}
+    return _over_content(num, den)
+
+
+def _ref_mul(n, a, b):
+    return _ref_canonical(n, _ref_pmul(a[0], b[0]), _ref_pmul(a[1], b[1]))
+
+
+def _ref_add(n, a, b):
+    if a[1] == b[1]:
+        return _ref_canonical(n, _padd(a[0], b[0]), a[1])
+    return _ref_canonical(n, _padd(_ref_pmul(a[0], b[1]), _ref_pmul(b[0], a[1])),
+                          _ref_pmul(a[1], b[1]))
+
+
+def _ref_dot(n, pairs):
+    if len(pairs) == 1 or not all(len(a[1]) == 1 and len(b[1]) == 1 for a, b in pairs):
+        return reduce(lambda x, y: _ref_add(n, x, y), (_ref_mul(n, a, b) for a, b in pairs))
+    terms = []
+    for a, b in pairs:
+        (ea, ca), = a[1].items()
+        (eb, cb), = b[1].items()
+        cr, ci = _gmul(ca, cb)
+        terms.append((a[0], b[0], (cr, -ci), cr * cr + ci * ci, tuple(map(operator.add, ea, eb))))
+    lcm = math.lcm(*(t[3] for t in terms))
+    top = tuple(map(max, zip(*(t[4] for t in terms))))
+    num = {}
+    for anum, bnum, (hr, hi), norm, m in terms:
+        h = (hr * (lcm // norm), hi * (lcm // norm))
+        shift = tuple(map(operator.sub, top, m))
+        shifted = {tuple(map(operator.add, e, shift)): _gmul(c, h) for e, c in anum.items()}
+        num = _padd(num, _ref_pmul(shifted, bnum))
+    return _ref_canonical(n, num, {top: (lcm, 0)})
+
+
+def _ref_one_term_pow(n, value, e):
+    num, den = value
+    if e < 0:
+        num, den, e = den, num, -e
+    (a, c), = num.items()
+    (b, d), = den.items()
+    return _ref_canonical(n, {tuple(x * e for x in a): _gpow(c, e)},
+                          {tuple(x * e for x in b): _gpow(d, e)})
+
+
+def _ref_sqrt(table, value):
+    # the root of the monomial ratio times the root of the coefficient ratio
+    (ne, nc), = value[0].items()
+    (de, dc), = value[1].items()
+    if any(x % 2 for x in (*ne, *de)):
+        return None
+    coeff = sqrt_scalar(Scalar(table, {0: nc}, {0: dc}))
+    if coeff is None:
+        return None
+    mono = ({tuple(x // 2 for x in ne): (1, 0)}, {tuple(x // 2 for x in de): (1, 0)})
+    return _ref_mul(table.n, mono, _tuple_forms(coeff))
+
+
+@given(st.data())
+def test_packed_canonical_matches_the_tuple_reference(data):
+    table = data.draw(st.sampled_from(_TABLES))
+    poly = st.dictionaries(_keys(table), _gints, min_size=1, max_size=4)
+    num, den = data.draw(poly), data.draw(poly)
+    want = _ref_canonical(table.n, _tuples(table, num), _tuples(table, den))
+    assert _tuple_forms(Scalar(table, num, den)) == want
+
+
+@pytest.mark.parametrize("laurent_only", [True, False])
+@given(data=st.data())
+def test_packed_arithmetic_matches_the_tuple_reference(laurent_only, data):
+    table = data.draw(st.sampled_from(_TABLES))
+    factor = _factor(table, laurent_only)
+    a, b = data.draw(factor), data.draw(factor)
+    ta, tb = _tuple_forms(a), _tuple_forms(b)
+    assert _tuples(table, _pmul(a.num, b.num)) == _ref_pmul(ta[0], tb[0])
+    assert _tuple_forms(a * b) == _ref_mul(table.n, ta, tb)
+    assert _tuple_forms(a + b) == _ref_add(table.n, ta, tb)
+    pairs = data.draw(st.lists(st.tuples(factor, factor), min_size=1, max_size=4))
+    want = _ref_dot(table.n, [(_tuple_forms(x), _tuple_forms(y)) for x, y in pairs])
+    assert _tuple_forms(_dot(table, pairs)) == want
+
+
+@given(st.data(), st.integers(-6, 6))
+def test_packed_one_term_routes_match_the_tuple_reference(data, e):
+    table = data.draw(st.sampled_from(_TABLES))
+    value = Scalar(table, {data.draw(_keys(table, 3)): data.draw(_gints)},
+                   {data.draw(_keys(table, 3)): data.draw(_gints)})
+    assert _tuple_forms(value ** e) == _ref_one_term_pow(table.n, _tuple_forms(value), e)
+    for v in (value, value * value):
+        root = sqrt_scalar(v)
+        want = _ref_sqrt(table, _tuple_forms(v))
+        assert (root if root is None else _tuple_forms(root)) == want
+
+
+def test_exponents_are_bounded_per_symbol():
+    top = MAX_SYMBOL_EXPONENT
+    table = SymbolTable(["x", "y"])
+    x, y = table.symbols("x", "y")
+    at = x ** top
+    assert str(at) == f"x^{top}"
+    assert str(at * y ** top) == f"x^{top}*y^{top}"
+    assert str((y / x) ** top) == f"y^{top}/x^{top}"
+    assert at / x == x ** (top - 1)
+    assert sqrt_scalar(x ** (top - 1)) == x ** ((top - 1) // 2)
+    # a stored form is checked after the shift: x^(top + 1)/x is x^top
+    assert Scalar(table, {table._pack((top + 1, 0)): (1, 0)}, {table._pack((1, 0)): (1, 0)}) == at
+    past = {
+        "x": [lambda: x ** (top + 1), lambda: at * x, lambda: (at + y) * x,
+              lambda: (y / x) ** -(top + 1), lambda: (x / y) ** (1 << 64),
+              lambda: Scalar(table, {table._pack((top + 1, 0)): (1, 0)}, {0: (1, 0)})],
+        # y is the low field: y^(2^64 + 1) would wrap to x*y without the check first
+        "y": [lambda: y ** (top + 1), lambda: y ** ((1 << 64) + 1), lambda: 1 / y ** top / y],
+    }
+    for name, makes in past.items():
+        for make in makes:
+            with pytest.raises(ExponentLimitExceeded,
+                               match=f"^exponent of {name} beyond the limit {top}$"):
+                make()
 
 
 # -------------------------------------------------------- the univariate gcd
