@@ -45,7 +45,7 @@ from .spectral import (
     find_roots,
     lagrange_projectors,
 )
-from .verify import FAULT_TARGETS, Check, CheckFailed, Report, run_checks, section_checks
+from .verify import FAULT_TARGETS, Check, CheckFailed, Report, Section, run_all, run_checks
 from .ybe import (
     TensorOps,
     braid_ybe_residual,
@@ -59,8 +59,8 @@ from .ybe import (
 
 __all__ = ["main"]
 
-# What each verb hands to main: header lines, extra JSON fields, checks.
-Verb = Tuple[List[str], dict, List[Check]]
+# What each verb hands to main: header lines, extra JSON fields, the sections it ran.
+Verb = Tuple[List[str], dict, Tuple[Section, ...]]
 
 
 class InputError(Exception):
@@ -121,7 +121,7 @@ def _load_matrix(path: str) -> SquareMatrix:
             # long for the system among them) is quoted once, in part
             raise InputError(f"cannot read {_excerpt(path, str)}: {exc.strerror}") from exc
         raise InputError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # also an int beyond the interpreter's digit limit
+    except (ValueError, RecursionError) as exc:  # an int beyond the digit limit, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         matrix = matrix_from_obj(obj)
@@ -225,7 +225,7 @@ def _run_analyze(args) -> Verb:
     for item in fields["projectors"]:
         header.append(f"projector at {item['eigenvalue']}:")
         header.extend(_matrix_lines(item["matrix"]))
-    return header, fields, checks
+    return header, fields, run_checks(checks)
 
 
 # ---------------------------------------------------------------- baxterize
@@ -264,7 +264,7 @@ def _baxterize_s03(args) -> Verb:
             "reparametrised-branch", lambda: reparametrize_check(p),
             "square-root branch in the substituted variable recovers the same coefficients",
         ))
-    return [f"baxterize s03 (p = {p})"], {"target": "s03", "p": p}, checks
+    return [f"baxterize s03 (p = {p})"], {"target": "s03", "p": p}, run_checks(checks)
 
 
 def _baxterize_s14_triplet(triplet: str) -> Verb:
@@ -289,7 +289,7 @@ def _baxterize_s14_triplet(triplet: str) -> Verb:
     }
     header = ["baxterize s14", "coefficients:"]
     header.extend(f"  {k} = {text}" for k, text in fields["coefficients"].items())
-    return header, fields, checks
+    return header, fields, run_checks(checks)
 
 
 def _baxterize_s14_free() -> Verb:
@@ -314,7 +314,7 @@ def _baxterize_s14_free() -> Verb:
                lambda: verify_frt_relations(TensorOps(table), s14_member_q(q)),
                "corner projectors intertwine the braided members across adjacent slots"),
     ]
-    return ["baxterize s14"], {"target": "s14"}, checks
+    return ["baxterize s14"], {"target": "s14"}, run_checks(checks)
 
 
 # ------------------------------------------------------------------ ncplane
@@ -352,7 +352,8 @@ def _run_ncplane(args) -> Verb:
         relations = builder()
     except ConsistencyFailure as exc:
         clash = f"defining operators clash: witness {exc.witness}"
-        return [f"ncplane {name}"], fields, [_claim("consistency", lambda: False, clash)]
+        checks = [_claim("consistency", lambda: False, clash)]
+        return [f"ncplane {name}"], fields, run_checks(checks)
 
     expected_coord, _ = _published_blocks(name, table)
     eye = SquareMatrix.identity(table, 4)
@@ -370,15 +371,15 @@ def _run_ncplane(args) -> Verb:
     header = [f"ncplane {name} ({', '.join(f'{k} = {v}' for k, v in parameters.items())})"]
     header.append("relations:")
     header.extend("  " + text for text in relations.lines())
-    return header, fields, checks
+    return header, fields, run_checks(checks)
 
 
 # --------------------------------------------------------------- verify-all
 
 
 def _run_verify_all(args) -> Verb:
-    checks = section_checks(args.seed, args.inject_fault)
-    return [f"verify-all (seed = {args.seed})"], {"target": None, "seed": args.seed}, checks
+    sections = run_all(args.seed, args.inject_fault).sections
+    return [f"verify-all (seed = {args.seed})"], {"target": None, "seed": args.seed}, sections
 
 
 # ------------------------------------------------------------------ wiring
@@ -460,8 +461,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        header, fields, checks = _RUNNERS[args.verb](args)
-        report = Report(run_checks(checks), {"verb": args.verb, **fields}, tuple(header))
+        header, fields, sections = _RUNNERS[args.verb](args)
+        report = Report(sections, {"verb": args.verb, **fields}, tuple(header))
         _emit(report, args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

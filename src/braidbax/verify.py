@@ -17,13 +17,18 @@ tensor machinery).  It exists so tests can confirm that each section
 really exercises the matrix it claims to: injecting a fault must flip
 exactly the sections that depend on the corrupted case.
 
-The plumbing section's 1000 seeded cases split into contiguous chunks,
-one per CPU the process may run on: the process checks the first chunk
-and forked children the others, each replaying the draws before its
-chunk without building values.  The lowest-index failure is reported
-with the text a one-chunk run gives, so the report does not depend on
-the CPU count; its elapsed time is wall time.  With one CPU, no fork or
-another live thread, every case is checked in process.
+run_all runs the nine sections as one pool of tasks over the CPUs the
+process may use.  A pipe holds one byte per task: first the plumbing
+section's 1000 seeded cases in contiguous chunks, one per CPU, each
+replaying the draws before it without building values, then the eight
+other sections in order.  The process and a forked child per extra CPU
+each take one task at a time until the pipe is empty; a child answers
+as JSON on a pipe of its own.  The report does not depend on the CPU
+count: sections keep their order and text, and the lowest-index
+plumbing failure wins.  Each section's elapsed time is its own run
+time; the plumbing section's is the wall time from its first chunk's
+start to its last chunk's end.  With one CPU, no fork or another live
+thread, the process takes every task itself.
 """
 
 from __future__ import annotations
@@ -115,17 +120,20 @@ def _failure_text(exc: Exception) -> str:
     return str(exc) if isinstance(exc, CheckFailed) else f"{type(exc).__name__}: {exc}"
 
 
+def _outcome(run: Callable[[], str]) -> Tuple[bool, str]:
+    """Whether a check holds, with its detail text."""
+    try:
+        return True, run()
+    except Exception as exc:
+        return False, _failure_text(exc)
+
+
 def run_checks(checks: Iterable[Check]) -> Tuple[Section, ...]:
     """Run each check in order; failures become sections, never exceptions."""
     sections = []
     for name, run in checks:
         start = time.perf_counter()
-        try:
-            detail = run()
-            holds = True
-        except Exception as exc:
-            detail = _failure_text(exc)
-            holds = False
+        holds, detail = _outcome(run)
         sections.append(Section(name, holds, detail, time.perf_counter() - start))
     return tuple(sections)
 
@@ -472,82 +480,12 @@ def _check_cases(seed: int, lo: int, hi: int) -> _Failure:
 
 
 def _cpu_count() -> int:
-    """The CPUs this process may run on, at most 10: one plumbing chunk each."""
+    """The CPUs this process may run on, at most 10: one worker and one plumbing chunk each."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     return min(cpus, 10)
-
-
-def _fork_cases(seed: int, lo: int, hi: int) -> Tuple[int, int]:
-    """Check cases lo..hi-1 in a forked child; its pid and the pipe it answers on."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                pipe.write(json.dumps(_check_cases(seed, lo, hi)).encode())
-            status = 0
-        finally:
-            # never return into the parent's code, nor flush its buffers
-            os._exit(status)
-    os.close(write)
-    return pid, read
-
-
-def _child_result(pid: int, read: int, lo: int, hi: int) -> _Failure:
-    """Read a child's answer to the end, then reap it.
-
-    A child exits 0 only once its whole answer is written.
-    """
-    with os.fdopen(read, "rb") as pipe:
-        data = pipe.read()
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0 or not data:
-        return lo, f"plumbing cases {lo}..{hi - 1} ended without a result (exit status {code})"
-    found = json.loads(data)
-    return None if found is None else tuple(found)
-
-
-def _first_failure(seed: int) -> _Failure:
-    """The lowest-index failing plumbing case, or None.
-
-    The cases split into contiguous chunks, one per CPU: this process
-    checks the first while forked children check the rest.  With one
-    CPU, no fork or another live thread (a fork copies only the calling
-    thread) every case is checked here.
-    """
-    import threading  # here, like signal below, so that importing the package loads neither
-
-    chunks = _cpu_count()
-    if chunks < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return _check_cases(seed, 0, _PLUMBING_CASES)
-    bounds = [_PLUMBING_CASES * k // chunks for k in range(chunks + 1)]
-    children = []
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            children.append((*_fork_cases(seed, lo, hi), lo, hi))
-        found = [_check_cases(seed, 0, bounds[1])]
-    except BaseException:
-        import signal
-
-        for pid, *_ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        results = [_child_result(*child) for child in children]
-    return min((f for f in found + results if f is not None), default=None)
-
-
-def _sec_plumbing(seed: int, fault: Optional[str]) -> str:
-    failure = _first_failure(seed)
-    if failure is not None:
-        raise CheckFailed(failure[1])
-    return (f"{_PLUMBING_CASES} randomised cases (field axioms, round-trips, tensor products), "
-            f"seed {seed}")
 
 
 _SECTIONS: Tuple[Tuple[str, Callable[[int, Optional[str]], str]], ...] = (
@@ -559,17 +497,153 @@ _SECTIONS: Tuple[Tuple[str, Callable[[int, Optional[str]], str]], ...] = (
     ("s14-combinations", _sec_s14_combinations),
     ("inverses-diagonalizers", _sec_inverses_diagonalizers),
     ("noncommutative-planes", _sec_noncommutative_planes),
-    ("plumbing", _sec_plumbing),
 )
 
 
-def section_checks(seed: int = 0, fault: Optional[str] = None) -> List[Check]:
-    """The nine sections as checks, over one seed and an optional fault."""
-    if fault is not None and fault not in FAULT_TARGETS:
-        raise ValueError(f"unknown fault target {fault!r}")
-    return [(name, functools.partial(func, seed, fault)) for name, func in _SECTIONS]
+def _run_task(task: Callable[[], object]) -> list:
+    """One task's [outcome, start, end].
+
+    A plumbing chunk's outcome is its first failure or None, a section's
+    [holds, detail].
+    """
+    start = time.perf_counter()
+    outcome = task()
+    return [outcome, start, time.perf_counter()]
+
+
+def _take(queue: int, tasks: list, claim: Callable[[int], None] = lambda index: None) -> dict:
+    """Take one task index at a time off the queue pipe until it is empty; their results."""
+    results = {}
+    while True:
+        byte = os.read(queue, 1)
+        if not byte:
+            return results
+        claim(byte[0])
+        results[byte[0]] = _run_task(tasks[byte[0]])
+
+
+def _fork_worker(queue: int, tasks: list) -> Tuple[int, int]:
+    """A forked worker taking tasks off the queue; its pid and the pipe it answers on.
+
+    The worker writes each task index it takes as one line, then all its
+    results as one JSON line, and exits 0 only once that is written.
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                def claim(index: int) -> None:
+                    pipe.write(b"%d\n" % index)
+                    pipe.flush()
+
+                pipe.write(json.dumps(list(_take(queue, tasks, claim).items())).encode())
+            status = 0
+        finally:
+            # never return into the parent's code, nor flush its buffers
+            os._exit(status)
+    os.close(write)
+    return pid, read
+
+
+def _worker_results(pid: int, read: int, results: dict, lost: dict) -> Optional[int]:
+    """Read a worker's answer to the end and reap it; its exit status unless it answered.
+
+    The results it sent go into results; each task it took without
+    answering goes into lost with its exit status.
+    """
+    with os.fdopen(read, "rb") as pipe:
+        *claims, answer = pipe.read().split(b"\n")
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0 and answer:
+        results.update(json.loads(answer))
+        return None
+    lost.update((int(index), code) for index in claims)
+    return code
+
+
+def _pool(tasks: list, workers: int) -> Tuple[dict, dict]:
+    """Each task's result by index, and for every other task the exit status
+    of the child that took it.
+
+    A pipe holds one byte per task index.  The process and workers - 1
+    forked children take one at a time until it is empty.  Should the
+    process raise, every child is killed and reaped.
+    """
+    queue, feed = os.pipe()
+    os.write(feed, bytes(range(len(tasks))))
+    os.close(feed)
+    children, results, lost = [], {}, {}
+    try:
+        for _ in range(workers - 1):
+            children.append(_fork_worker(queue, tasks))
+        results.update(_take(queue, tasks))
+    except BaseException:
+        import signal
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue)
+        codes = [_worker_results(pid, read, results, lost) for pid, read in children]
+    # a task nobody claimed was taken by a child that died before writing the claim
+    dead = [code for code in codes if code is not None]
+    lost.update((index, dead[0]) for index in range(len(tasks))
+                if index not in results and index not in lost)
+    return results, lost
+
+
+def _run_sections(seed: int, fault: Optional[str]) -> Tuple[Section, ...]:
+    """All nine sections, run as one pool of tasks over the CPUs the process may use.
+
+    The queue holds one plumbing chunk per worker, then the eight other
+    sections in order.  With one CPU, no fork or another live thread (a
+    fork copies only the calling thread) the process takes every task.
+    """
+    import threading  # here, like signal in _pool, so that importing the package loads neither
+
+    workers = _cpu_count()
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    bounds = [_PLUMBING_CASES * k // workers for k in range(workers + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    tasks = [functools.partial(_check_cases, seed, lo, hi) for lo, hi in chunks]
+    tasks += [functools.partial(_outcome, functools.partial(run, seed, fault))
+              for _, run in _SECTIONS]
+    results, lost = _pool(tasks, workers)
+
+    def ended(index: int) -> str:
+        return f"ended without a result (exit status {lost[index]})"
+
+    sections = []
+    for index, (name, _) in enumerate(_SECTIONS, len(chunks)):
+        if index in results:
+            (holds, detail), start, end = results[index]
+            sections.append(Section(name, holds, detail, end - start))
+        else:
+            sections.append(Section(name, False, "section " + ended(index), 0.0))
+    failures, spans = [], []
+    for index, (lo, hi) in enumerate(chunks):
+        if index in results:
+            failure, start, end = results[index]
+            spans.append((start, end))
+            if failure is not None:
+                failures.append(tuple(failure))
+        else:
+            failures.append((lo, f"plumbing cases {lo}..{hi - 1} " + ended(index)))
+    elapsed = max(end for _, end in spans) - min(start for start, _ in spans) if spans else 0.0
+    detail = min(failures)[1] if failures else (
+        f"{_PLUMBING_CASES} randomised cases (field axioms, round-trips, tensor products), "
+        f"seed {seed}")
+    sections.append(Section("plumbing", not failures, detail, elapsed))
+    return tuple(sections)
 
 
 def run_all(seed: int = 0, fault: Optional[str] = None) -> Report:
     """Run every section; failures become report entries, never exceptions."""
-    return Report(run_checks(section_checks(seed, fault)), {"seed": seed})
+    if fault is not None and fault not in FAULT_TARGETS:
+        raise ValueError(f"unknown fault target {fault!r}")
+    return Report(_run_sections(seed, fault), {"seed": seed})

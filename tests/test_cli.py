@@ -385,6 +385,20 @@ def test_matrix_file_with_a_huge_json_int_is_an_input_error(tmp_path, capsys):
     assert line.startswith(f"input error: {target} is not valid JSON: Exceeds the limit")
 
 
+@pytest.mark.parametrize("text", [
+    "[" * 100000 + "]" * 100000,
+    '{"n": 1, "symbols": [], "entries": ' + "[" * 50000 + "]" * 50000 + "}",
+])
+def test_deeply_nested_json_is_an_input_error(text, tmp_path, capsys):
+    target = tmp_path / "deep.json"
+    target.write_text(text)
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"input error: {target} is not valid JSON: maximum recursion depth")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["ncplane", "s03", "--c=" + "9" * 1000],
      f"input error: cannot parse parameter '{'9' * 60}'... (1000 characters): integer "

@@ -1,7 +1,11 @@
 """End-to-end self-check harness: clean pass and fault injection."""
 
+import fcntl
 import os
 import random
+import struct
+import termios
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,8 +15,6 @@ from braidbax.verify import (
     FAULT_TARGETS,
     CheckFailed,
     _random_scalar,
-    run_checks,
-    section_checks,
 )
 
 from conftest import count_difference_builds, golden, without_elapsed
@@ -87,8 +89,8 @@ def test_injected_fault_hits_exactly_the_dependent_sections():
 
 def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
     def failed_sections():
-        checks = [check for check in section_checks() if check[0] != "plumbing"]
-        return {s.name: s.detail for s in run_checks(checks) if not s.holds}
+        monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+        return {s.name: s.detail for s in run_all().sections if not s.holds}
 
     monkeypatch.setattr(verify, "f_aux", lambda k_squared, x: x)
     assert failed_sections() == {
@@ -112,7 +114,8 @@ def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
 
 def test_s14_section_builds_each_letter_difference_once(monkeypatch):
     _, built = count_difference_builds(monkeypatch)
-    assert verify._sec_s14_combinations(0, None)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    assert run_all().section("s14-combinations").holds
     assert len(built) == 27
     assert sorted(built) == sorted(a + b + c for a in "ixy" for b in "ixy" for c in "ixy")
 
@@ -126,7 +129,8 @@ def test_projector_suites_take_the_spectral_path_for_both_cases(monkeypatch):
         return real(a, roots)
 
     monkeypatch.setattr(verify, "lagrange_projectors", recorder)
-    (section,) = run_checks([c for c in section_checks() if c[0] == "projector-suites"])
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    section = run_all().section("projector-suites")
     assert section.holds, section.detail
     assert seen == [builtin_case("s03").rhat, builtin_case("s14").rhat]
 
@@ -142,7 +146,7 @@ def _golden_projector_detail(fault):
 
 @pytest.mark.parametrize("fault", FAULT_TARGETS)
 def test_projector_suites_fail_under_each_fault_with_the_golden_detail(fault):
-    (section,) = run_checks([c for c in section_checks(0, fault) if c[0] == "projector-suites"])
+    section = run_all(0, fault).section("projector-suites")
     assert not section.holds
     assert section.detail == _golden_projector_detail(fault)
 
@@ -152,22 +156,92 @@ def test_unknown_fault_target_is_rejected():
         run_all(fault="s99")
 
 
-def _plumbing_in_chunks(monkeypatch, chunks, seed=0):
-    """The plumbing section over the given chunk count; every child reaped after it."""
-    forks = []
-    real_fork = verify._fork_cases
-
-    def fork(seed, lo, hi):
-        forks.append((lo, hi))
-        return real_fork(seed, lo, hi)
-
-    monkeypatch.setattr(verify, "_cpu_count", lambda: chunks)
-    monkeypatch.setattr(verify, "_fork_cases", fork)
-    (section,) = run_checks([c for c in section_checks(seed) if c[0] == "plumbing"])
-    assert len(forks) == chunks - 1
+@pytest.fixture(autouse=True)
+def no_child_left():
+    yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    return section
+
+
+def _pool_report(monkeypatch, workers, seed=0, fault=None):
+    """run_all over the given worker count; every child reaped after it."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(verify, "_cpu_count", lambda: workers)
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        report = run_all(seed, fault)
+    finally:
+        monkeypatch.setattr(os, "fork", real_fork)
+    assert len(forks) == workers - 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return report
+
+
+def _outcomes(report):
+    return [(s.name, s.holds, s.detail) for s in report.sections]
+
+
+def _parent_waits_until(monkeypatch, remaining):
+    """The process takes no task while more than `remaining` are left on the queue.
+
+    So the children take the tasks first in the queue, whatever the
+    timing; after 10 s the process goes ahead anyway.
+    """
+    parent, real_take = os.getpid(), verify._take
+
+    def take(queue, *args):
+        deadline = time.monotonic() + 10
+        while os.getpid() == parent and time.monotonic() < deadline:
+            (left,) = struct.unpack("i", fcntl.ioctl(queue, termios.FIONREAD, b"\0" * 4))
+            if left <= remaining:
+                break
+            time.sleep(0.001)
+        return real_take(queue, *args)
+
+    monkeypatch.setattr(verify, "_take", take)
+
+
+def _record_claims(monkeypatch, path, after=lambda taken: None):
+    """Append "pid index" to path for each task any worker takes, then call after().
+
+    after(taken) gets the indices this worker has taken so far.
+    """
+    real_take = verify._take
+
+    def take(queue, tasks, claim=lambda index: None):
+        taken = []
+
+        def record(index):
+            claim(index)
+            taken.append(index)
+            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, b"%d %d\n" % (os.getpid(), index))
+            finally:
+                os.close(fd)
+            after(taken)
+
+        return real_take(queue, tasks, record)
+
+    monkeypatch.setattr(verify, "_take", take)
+
+
+def _claims(path):
+    """{pid: [task index, ...]} from the lines _record_claims wrote."""
+    claims = {}
+    for line in path.read_text().splitlines():
+        pid, index = map(int, line.split())
+        claims.setdefault(pid, []).append(index)
+    return claims
 
 
 def _fail_plumbing_at(monkeypatch, failures):
@@ -202,11 +276,40 @@ def test_a_chunk_checks_the_cases_a_one_chunk_run_gives_it(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_plumbing_report_does_not_depend_on_the_chunk_count(seed, monkeypatch):
-    seen = {(s.holds, s.detail) for s in
-            (_plumbing_in_chunks(monkeypatch, chunks, seed) for chunks in (1, 2, 4))}
-    assert seen == {
-        (True, f"1000 randomised cases (field axioms, round-trips, tensor products), seed {seed}")
-    }
+    seen = {tuple(_outcomes(_pool_report(monkeypatch, workers, seed))) for workers in (1, 2, 4)}
+    assert len(seen) == 1
+    (outcomes,) = seen
+    assert [name for name, _, _ in outcomes] == list(SECTION_ORDER)
+    assert all(holds for _, holds, _ in outcomes)
+    assert outcomes[-1] == (
+        "plumbing", True,
+        f"1000 randomised cases (field axioms, round-trips, tensor products), seed {seed}",
+    )
+
+
+@pytest.mark.parametrize("fault", FAULT_TARGETS)
+def test_a_faulty_report_does_not_depend_on_the_worker_count(fault, monkeypatch):
+    if fault == "s03":
+        want = golden()["verify"]["cli-fault-s03-json"]["stdout"]["sections"]
+    else:
+        want = golden()["verify"]["fault-s14-obj"]["sections"]
+    want = [(s["name"], s["holds"], s["detail"]) for s in want]
+    for workers in (1, 2, 4):
+        assert _outcomes(_pool_report(monkeypatch, workers, 0, fault)) == want, workers
+
+
+def test_a_section_that_raises_in_a_child_reads_as_in_one_process(monkeypatch):
+    def raise_zero_division(rhat):
+        raise ZeroDivisionError("division by zero")
+
+    _fail_plumbing_at(monkeypatch, {})
+    monkeypatch.setattr(verify, "braid_ybe_residual", raise_zero_division)
+    one = _outcomes(_pool_report(monkeypatch, 1))
+    assert one[2] == ("constant-ybe", False, "ZeroDivisionError: division by zero")
+    assert sum(not holds for _, holds, _ in one) == 1
+    _parent_waits_until(monkeypatch, 0)
+    for workers in (2, 4):
+        assert _outcomes(_pool_report(monkeypatch, workers)) == one, workers
 
 
 @pytest.mark.parametrize("fail, detail", [
@@ -215,15 +318,18 @@ def test_plumbing_report_does_not_depend_on_the_chunk_count(seed, monkeypatch):
 ])
 def test_a_failure_in_a_child_chunk_reads_as_in_one_chunk(fail, detail, monkeypatch):
     _fail_plumbing_at(monkeypatch, {777: fail})
-    for chunks in (1, 2, 4):
-        section = _plumbing_in_chunks(monkeypatch, chunks)
-        assert (section.holds, section.detail) == (False, detail), chunks
+    section = _pool_report(monkeypatch, 1).section("plumbing")
+    assert (section.holds, section.detail) == (False, detail)
+    _parent_waits_until(monkeypatch, 0)
+    for workers in (2, 4):
+        section = _pool_report(monkeypatch, workers).section("plumbing")
+        assert (section.holds, section.detail) == (False, detail), workers
 
 
 def test_the_lowest_failing_case_wins_across_chunks(monkeypatch):
     _fail_plumbing_at(monkeypatch, {index: _check_failed for index in (950, 800, 300)})
-    for chunks in (1, 2, 4):
-        section = _plumbing_in_chunks(monkeypatch, chunks)
+    for workers in (1, 2, 4):
+        section = _pool_report(monkeypatch, workers).section("plumbing")
         assert (section.holds, section.detail) == (False, "commutativity failed on case 300")
 
 
@@ -235,22 +341,59 @@ def test_a_child_that_exits_without_a_result_fails_the_section(monkeypatch):
             os._exit(3)
 
     _fail_plumbing_at(monkeypatch, {700: leave})
-    section = _plumbing_in_chunks(monkeypatch, 2)
-    assert not section.holds
-    assert section.detail == "plumbing cases 500..999 ended without a result (exit status 3)"
+    # the one child takes both chunks and dies in the second: both are lost
+    _parent_waits_until(monkeypatch, len(SECTION_ORDER) - 1)
+    report = _pool_report(monkeypatch, 2)
+    assert [s.name for s in report.sections if not s.holds] == ["plumbing"]
+    section = report.section("plumbing")
+    assert section.detail == "plumbing cases 0..499 ended without a result (exit status 3)"
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_a_child_that_exits_fails_exactly_the_tasks_it_took(workers, monkeypatch, tmp_path):
+    """Each child leaves by os._exit(3) on taking its second task, which it never runs."""
+    parent, path = os.getpid(), tmp_path / "claims"
+
+    def after(taken):
+        if os.getpid() != parent and len(taken) == 2:
+            os._exit(3)
+
+    _fail_plumbing_at(monkeypatch, {})
+    clean = _outcomes(_pool_report(monkeypatch, 1))
+    _record_claims(monkeypatch, path, after)
+    report = _pool_report(monkeypatch, workers)
+    lost = sorted(index for pid, taken in _claims(path).items() if pid != parent
+                  for index in taken)
+    chunks = [(1000 * k // workers, 1000 * (k + 1) // workers - 1) for k in range(workers)]
+    want = []
+    for index, (name, holds, detail) in enumerate(clean[:-1], workers):
+        if index in lost:
+            holds, detail = False, "section ended without a result (exit status 3)"
+        want.append((name, holds, detail))
+    lost_chunks = [chunks[index] for index in lost if index < workers]
+    if lost_chunks:
+        lo, hi = lost_chunks[0]
+        want.append(("plumbing", False,
+                     f"plumbing cases {lo}..{hi} ended without a result (exit status 3)"))
+    else:
+        want.append(clean[-1])
+    assert _outcomes(report) == want
 
 
 def test_children_are_reaped_when_the_parent_chunk_raises(monkeypatch):
     class Interrupt(BaseException):
         pass
 
-    def interrupt(index):
-        raise Interrupt
+    parent, real_run = os.getpid(), verify._run_task
 
-    _fail_plumbing_at(monkeypatch, {10: interrupt})
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 4)
+    def run(task):
+        if os.getpid() == parent:
+            raise Interrupt
+        return real_run(task)
+
+    monkeypatch.setattr(verify, "_run_task", run)
     with pytest.raises(Interrupt):
-        verify._sec_plumbing(0, None)
+        _pool_report(monkeypatch, 4)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
