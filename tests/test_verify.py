@@ -32,6 +32,14 @@ SECTION_ORDER = (
 )
 
 
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Every test ends with no child process left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_clean_run_passes_every_section(clean_report):
     assert isinstance(clean_report, Report)
     assert clean_report.holds
@@ -154,13 +162,6 @@ def test_projector_suites_fail_under_each_fault_with_the_golden_detail(fault):
 def test_unknown_fault_target_is_rejected():
     with pytest.raises(ValueError):
         run_all(fault="s99")
-
-
-@pytest.fixture(autouse=True)
-def no_child_left():
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 def _pool_report(monkeypatch, workers, seed=0, fault=None):
@@ -384,16 +385,18 @@ def test_children_are_reaped_when_the_parent_chunk_raises(monkeypatch):
     class Interrupt(BaseException):
         pass
 
-    parent, real_run = os.getpid(), verify._run_task
+    parent = os.getpid()
 
     def run(task):
         if os.getpid() == parent:
             raise Interrupt
-        return real_run(task)
+        time.sleep(60)  # a child still busy: only the kill ends it in time
 
     monkeypatch.setattr(verify, "_run_task", run)
+    start = time.monotonic()
     with pytest.raises(Interrupt):
         _pool_report(monkeypatch, 4)
+    assert time.monotonic() - start < 30
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
