@@ -101,7 +101,10 @@ def _parse_parameters(texts: List[str]) -> list:
         {match.group(0) for text in texts for match in _IDENTIFIER.finditer(text)}
         - {"i"}
     )
-    table = SymbolTable(names)
+    try:
+        table = SymbolTable(names)
+    except ValueError as exc:  # more names than MAX_SYMBOLS
+        raise InputError(f"parameters name {exc}") from exc
     values = []
     for text in texts:
         try:
@@ -111,16 +114,21 @@ def _parse_parameters(texts: List[str]) -> list:
     return values
 
 
+def _os_error(action: str, path: str, exc: OSError) -> str:
+    """The one-line message for an OSError on path."""
+    if len(path) > _EXCERPT:
+        # the OSError text repeats the path, so a long one (every path too
+        # long for the system among them) is quoted once, in part
+        return f"cannot {action} {_excerpt(path, str)}: {exc.strerror}"
+    return f"cannot {action} {path}: {exc}"
+
+
 def _load_matrix(path: str) -> SquareMatrix:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             obj = json.load(handle)
     except OSError as exc:
-        if len(path) > _EXCERPT:
-            # the OSError text repeats the path, so a long one (every path too
-            # long for the system among them) is quoted once, in part
-            raise InputError(f"cannot read {_excerpt(path, str)}: {exc.strerror}") from exc
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise InputError(_os_error("read", path, exc)) from exc
     except (ValueError, RecursionError) as exc:  # an int beyond the digit limit, deep nesting
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
@@ -449,7 +457,7 @@ def _emit(report: Report, args) -> None:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(payload)
         except OSError as exc:
-            raise UsageError(f"cannot write {args.out}: {exc}") from exc
+            raise UsageError(_os_error("write", args.out, exc)) from exc
     else:
         sys.stdout.write(payload)
 

@@ -89,6 +89,7 @@ from typing import Iterable, Optional, Sequence
 __all__ = ["PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
 
 MAX_SYMBOL_EXPONENT = (1 << 40) - 1  # the largest exponent of one symbol in a stored form
+MAX_SYMBOLS = 100  # the most names one table holds: its field masks take 4*n^2 bytes
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
@@ -123,6 +124,8 @@ class SymbolTable:
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
+        if len(names) > MAX_SYMBOLS:
+            raise ValueError(f"{len(names)} symbols, beyond the limit {MAX_SYMBOLS}")
         seen = set()
         for name in names:
             if not name.isidentifier():

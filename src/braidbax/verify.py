@@ -18,17 +18,19 @@ really exercises the matrix it claims to: injecting a fault must flip
 exactly the sections that depend on the corrupted case.
 
 run_all runs the nine sections as one pool of tasks over the CPUs the
-process may use.  A pipe holds one byte per task: first the plumbing
-section's 1000 seeded cases in contiguous chunks, one per CPU, each
-replaying the draws before it without building values, then the eight
-other sections in order.  The process and a forked child per extra CPU
-each take one task at a time until the pipe is empty; a child answers
-as JSON on a pipe of its own.  The report does not depend on the CPU
-count: sections keep their order and text, and the lowest-index
-plumbing failure wins.  Each section's elapsed time is its own run
-time; the plumbing section's is the wall time from its first chunk's
-start to its last chunk's end.  With one CPU, no fork or another live
-thread, the process takes every task itself.
+process may use.  Every task is a check like any other: the plumbing
+section's 1000 seeded cases split into contiguous chunks, one per CPU,
+and the eight other sections are one task each.  Plumbing case `index`
+of seed S draws its values from its own stream, random.Random("S/index"),
+so a seed's inputs do not depend on the chunk layout.  A pipe holds one
+byte per task, the chunks first.  The process and a forked child per
+extra CPU each take one task at a time until the pipe is empty; a child
+answers as JSON on a pipe of its own.  The report does not depend on the
+CPU count: a section holds when all its tasks do, its detail is that of
+its first failing task in queue order (so the lowest failing plumbing
+case wins), and its elapsed time runs from its first task's start to its
+last task's end.  With one CPU, no fork or another live thread, the
+process takes every task itself.
 """
 
 from __future__ import annotations
@@ -199,7 +201,7 @@ def _s14_plus(table: SymbolTable, fault: Optional[str]) -> SquareMatrix:
 # ---------------------------------------------------------------- sections
 
 
-def _sec_minimal_polynomials(seed: int, fault: Optional[str]) -> str:
+def _sec_minimal_polynomials(fault: Optional[str]) -> str:
     published = []
     for name, ordinal in (("s03", "first"), ("s14", "second")):
         case = builtin_case(name)
@@ -209,7 +211,7 @@ def _sec_minimal_polynomials(seed: int, fault: Optional[str]) -> str:
     return " and ".join(published) + ", as published"
 
 
-def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
+def _sec_projector_suites(fault: Optional[str]) -> str:
     s03 = builtin_case("s03")
     formula = s03_constant_projectors(s03.table, _braid_for("s03", s03.table, fault))
     _check(formula == s03.projectors, "first-case projector formulas drifted from their constants")
@@ -228,7 +230,7 @@ def _sec_projector_suites(seed: int, fault: Optional[str]) -> str:
     return "both families idempotent, orthogonal, complete, and equal to their constants"
 
 
-def _sec_constant_ybe(seed: int, fault: Optional[str]) -> str:
+def _sec_constant_ybe(fault: Optional[str]) -> str:
     rhat = _braid_for("s03", SymbolTable([]), fault)
     _check(braid_ybe_residual(rhat).is_zero(), "first braided matrix fails the braid relation")
     rhat = _braid_for("s14", SymbolTable(["q"]), fault)
@@ -242,7 +244,7 @@ def _sec_constant_ybe(seed: int, fault: Optional[str]) -> str:
     return "braid relation holds for both cases, the second symbolically in q"
 
 
-def _sec_s03_baxterisation(seed: int, fault: Optional[str]) -> str:
+def _sec_s03_baxterisation(fault: Optional[str]) -> str:
     table = SymbolTable(["x", "y"])
     x, y = table.symbols("x", "y")
     rhat = _braid_for("s03", table, fault)
@@ -259,7 +261,7 @@ def _sec_s03_baxterisation(seed: int, fault: Optional[str]) -> str:
     return "power family exact for p in -4..4; residual collapse exact in free coefficients"
 
 
-def _sec_functional_equations(seed: int, fault: Optional[str]) -> str:
+def _sec_functional_equations(fault: Optional[str]) -> str:
     table = SymbolTable(["x", "y"])
     x, y = table.symbols("x", "y")
     for p in (-2, 3):
@@ -285,7 +287,7 @@ def _sec_functional_equations(seed: int, fault: Optional[str]) -> str:
     return "coefficient and additive laws exact; conversions mutually inverse; p = -2 recovered"
 
 
-def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
+def _sec_s14_combinations(fault: Optional[str]) -> str:
     table = SymbolTable(["q", "v", "w", "vp", "wp", "vpp", "wpp"])
     plus = _s14_plus(table, fault)
     tops = TensorOps(table, plus)
@@ -323,7 +325,7 @@ def _sec_s14_combinations(seed: int, fault: Optional[str]) -> str:
     return "reductions, closed coefficients, constrained residual, chains, and exchange relations all exact"
 
 
-def _sec_inverses_diagonalizers(seed: int, fault: Optional[str]) -> str:
+def _sec_inverses_diagonalizers(fault: Optional[str]) -> str:
     table = SymbolTable(["q", "v", "w"])
     q, v, w = table.symbols("q", "v", "w")
     eye = SquareMatrix.identity(table, 4)
@@ -351,7 +353,7 @@ def _sec_inverses_diagonalizers(seed: int, fault: Optional[str]) -> str:
     return "closed inverse, q to 1/q pairing, and both diagonalizer conjugations exact"
 
 
-def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
+def _sec_noncommutative_planes(fault: Optional[str]) -> str:
     # a plane whose shifts clash raises ConsistencyFailure in ncplane._wz_relations
     table = SymbolTable(["c"])
     c = table.symbol("c")
@@ -378,13 +380,12 @@ def _sec_noncommutative_planes(seed: int, fault: Optional[str]) -> str:
     return "both planes consistent, blocks and rewrite rules exactly as displayed"
 
 
-def _scalar_parts(rng: random.Random, table: SymbolTable, names, terms: int = 3):
-    """The draws of a random scalar: the numerator and denominator dicts.
+def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3) -> Scalar:
+    """A sum of 1..terms random terms (p/q + r/s*i) * prod name^k.
 
-    The scalar is a sum of 1..terms random terms (p/q + r/s*i) * prod name^k.
     p, r lie in -6..6, q, s in 1..4 and each k in -2..2, drawn in that
-    order per term.  The value is one polynomial over 12*prod name^2,
-    which clears every q, s and negative k.
+    order per term.  The value is built as one polynomial over
+    12*prod name^2, which clears every q, s and negative k.
     """
     positions = [table.index(name) for name in names]
     num = {}
@@ -402,19 +403,14 @@ def _scalar_parts(rng: random.Random, table: SymbolTable, names, terms: int = 3)
         else:
             num.pop(key, None)
     den = table._pack([2 if k in positions else 0 for k in range(table.n)])
-    return num, {den: (12, 0)}
-
-
-def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3) -> Scalar:
-    """The scalar whose parts _scalar_parts draws."""
-    return Scalar(table, *_scalar_parts(rng, table, names, terms))
+    return Scalar(table, num, {den: (12, 0)})
 
 
 _PLUMBING_CASES = 1000
 
 
-def _case_draws(rng: random.Random, table: SymbolTable, index: int, make) -> list:
-    """make(rng, table, names, terms) for each scalar plumbing case `index` draws.
+def _case_draws(rng: random.Random, table: SymbolTable, index: int) -> List[Scalar]:
+    """The random scalars plumbing case `index` checks.
 
     Case kind 8 draws four 2x2 matrices, over x, y, x and y alone; kind 9
     one 2x2 matrix over x and y; every other kind three scalars over x
@@ -422,11 +418,11 @@ def _case_draws(rng: random.Random, table: SymbolTable, index: int, make) -> lis
     """
     kind = index % 10
     if kind == 8:
-        return [make(rng, table, names, 2)
+        return [_random_scalar(rng, table, names, 2)
                 for names in (("x",), ("y",), ("x",), ("y",)) for _ in range(4)]
     if kind == 9:
-        return [make(rng, table, ("x", "y"), 2) for _ in range(4)]
-    return [make(rng, table, ("x", "y"), 3) for _ in range(3)]
+        return [_random_scalar(rng, table, ("x", "y"), 2) for _ in range(4)]
+    return [_random_scalar(rng, table, ("x", "y"), 3) for _ in range(3)]
 
 
 def _check_case(table: SymbolTable, index: int, values: List[Scalar]) -> None:
@@ -458,25 +454,17 @@ def _check_case(table: SymbolTable, index: int, values: List[Scalar]) -> None:
            f"print/parse round-trip failed on case {index}")
 
 
-_Failure = Optional[Tuple[int, str]]
+def _check_cases(seed: int, lo: int, hi: int) -> str:
+    """Check plumbing cases lo..hi-1 of the seed; raise at the first failure.
 
-
-def _check_cases(seed: int, lo: int, hi: int) -> _Failure:
-    """Check plumbing cases lo..hi-1 of the seed; the first failure as (index, detail).
-
-    The draws of the cases before lo are replayed without building their
-    values, so every chunk checks the inputs a one-chunk run gives it.
+    Case `index` draws from its own stream, random.Random(f"{seed}/{index}"),
+    so its inputs do not depend on which chunk checks it.
     """
-    rng = random.Random(seed)
     table = SymbolTable(["x", "y"])
-    for index in range(lo):
-        _case_draws(rng, table, index, _scalar_parts)
     for index in range(lo, hi):
-        try:
-            _check_case(table, index, _case_draws(rng, table, index, _random_scalar))
-        except Exception as exc:
-            return index, _failure_text(exc)
-    return None
+        _check_case(table, index, _case_draws(random.Random(f"{seed}/{index}"), table, index))
+    return (f"{_PLUMBING_CASES} randomised cases (field axioms, round-trips, tensor products), "
+            f"seed {seed}")
 
 
 def _cpu_count() -> int:
@@ -488,7 +476,7 @@ def _cpu_count() -> int:
     return min(cpus, 10)
 
 
-_SECTIONS: Tuple[Tuple[str, Callable[[int, Optional[str]], str]], ...] = (
+_SECTIONS: Tuple[Tuple[str, Callable[[Optional[str]], str]], ...] = (
     ("minimal-polynomials", _sec_minimal_polynomials),
     ("projector-suites", _sec_projector_suites),
     ("constant-ybe", _sec_constant_ybe),
@@ -500,15 +488,11 @@ _SECTIONS: Tuple[Tuple[str, Callable[[int, Optional[str]], str]], ...] = (
 )
 
 
-def _run_task(task: Callable[[], object]) -> list:
-    """One task's [outcome, start, end].
-
-    A plumbing chunk's outcome is its first failure or None, a section's
-    [holds, detail].
-    """
+def _run_task(run: Callable[[], str]) -> list:
+    """One task's [holds, detail, start, end]."""
     start = time.perf_counter()
-    outcome = task()
-    return [outcome, start, time.perf_counter()]
+    holds, detail = _outcome(run)
+    return [holds, detail, start, time.perf_counter()]
 
 
 def _take(queue: int, tasks: list, claim: Callable[[int], None] = lambda index: None) -> dict:
@@ -599,9 +583,12 @@ def _pool(tasks: list, workers: int) -> Tuple[dict, dict]:
 def _run_sections(seed: int, fault: Optional[str]) -> Tuple[Section, ...]:
     """All nine sections, run as one pool of tasks over the CPUs the process may use.
 
-    The queue holds one plumbing chunk per worker, then the eight other
+    A task is (section name, the label a lost task reads under, run).  The
+    queue holds one plumbing chunk per worker, then the eight other
     sections in order.  With one CPU, no fork or another live thread (a
     fork copies only the calling thread) the process takes every task.
+    A section holds when all its tasks hold; its detail is the first
+    failing task's in queue order, else the first task's.
     """
     import threading  # here, like signal in _pool, so that importing the package loads neither
 
@@ -609,36 +596,21 @@ def _run_sections(seed: int, fault: Optional[str]) -> Tuple[Section, ...]:
     if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     bounds = [_PLUMBING_CASES * k // workers for k in range(workers + 1)]
-    chunks = list(zip(bounds, bounds[1:]))
-    tasks = [functools.partial(_check_cases, seed, lo, hi) for lo, hi in chunks]
-    tasks += [functools.partial(_outcome, functools.partial(run, seed, fault))
-              for _, run in _SECTIONS]
-    results, lost = _pool(tasks, workers)
-
-    def ended(index: int) -> str:
-        return f"ended without a result (exit status {lost[index]})"
+    tasks = [("plumbing", f"plumbing cases {lo}..{hi - 1}",
+              functools.partial(_check_cases, seed, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    tasks += [(name, "section", functools.partial(run, fault)) for name, run in _SECTIONS]
+    results, lost = _pool([run for _, _, run in tasks], workers)
 
     sections = []
-    for index, (name, _) in enumerate(_SECTIONS, len(chunks)):
-        if index in results:
-            (holds, detail), start, end = results[index]
-            sections.append(Section(name, holds, detail, end - start))
-        else:
-            sections.append(Section(name, False, "section " + ended(index), 0.0))
-    failures, spans = [], []
-    for index, (lo, hi) in enumerate(chunks):
-        if index in results:
-            failure, start, end = results[index]
-            spans.append((start, end))
-            if failure is not None:
-                failures.append(tuple(failure))
-        else:
-            failures.append((lo, f"plumbing cases {lo}..{hi - 1} " + ended(index)))
-    elapsed = max(end for _, end in spans) - min(start for start, _ in spans) if spans else 0.0
-    detail = min(failures)[1] if failures else (
-        f"{_PLUMBING_CASES} randomised cases (field axioms, round-trips, tensor products), "
-        f"seed {seed}")
-    sections.append(Section("plumbing", not failures, detail, elapsed))
+    for name in [name for name, _ in _SECTIONS] + ["plumbing"]:
+        mine = [index for index, task in enumerate(tasks) if task[0] == name]
+        outcomes = [results[index][:2] if index in results else
+                    (False, f"{tasks[index][1]} ended without a result (exit status {lost[index]})")
+                    for index in mine]
+        spans = [results[index][2:] for index in mine if index in results]
+        elapsed = max(end for _, end in spans) - min(start for start, _ in spans) if spans else 0.0
+        detail = next((detail for holds, detail in outcomes if not holds), outcomes[0][1])
+        sections.append(Section(name, all(holds for holds, _ in outcomes), detail, elapsed))
     return tuple(sections)
 
 

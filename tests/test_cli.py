@@ -185,9 +185,11 @@ def test_out_flag_writes_the_report(tmp_path, capsys):
     jsonschema.validate(report, ANALYZE_SCHEMA)
 
 
-def test_out_flag_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys):
-    out_path = tmp_path / "missing" / "report.json"
-    assert main(["analyze", "s03", "--out", str(out_path)]) == 2
+def test_out_flag_to_an_unwritable_path_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # a relative path, short enough to be quoted whole
+    monkeypatch.chdir(tmp_path)
+    out_path = "missing/report.json"
+    assert main(["analyze", "s03", "--out", out_path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"usage error: cannot write {out_path}: ")
     assert err.count("\n") == 1
@@ -339,6 +341,30 @@ def test_exponents_beyond_the_key_bound_are_input_errors(capsys):
         "input error: exponent of a beyond the limit 1099511627775"]
 
 
+def test_parameters_may_name_at_most_a_hundred_symbols(capsys):
+    names = [f"a{k}" for k in range(101)]
+    assert main(["ncplane", "s03", "--c=" + "+".join(names[:-1])]) == 0
+    capsys.readouterr()
+    assert main(["ncplane", "s03", "--c=" + "+".join(names)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "input error: parameters name 101 symbols, beyond the limit 100"]
+
+
+def test_a_matrix_file_may_name_at_most_a_hundred_symbols(tmp_path, capsys):
+    names = [f"a{k}" for k in range(101)]
+    target = _write_matrix(tmp_path / "wide.json", 1, names[:-1], [["1"]])
+    assert main(["analyze", f"file:{target}"]) == 0
+    capsys.readouterr()
+    target = _write_matrix(tmp_path / "wider.json", 1, names, [["1"]])
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: {target} does not describe a matrix: 101 symbols, beyond the limit 100"]
+
+
 _HUGE = [
     (["ncplane", "s03", "--c=99^2200"],
      "input error: cannot parse parameter '99^2200': power of a single term reaches "
@@ -426,6 +452,8 @@ def test_digit_bounds_follow_a_lower_interpreter_limit(argv, message, capsys):
     (["analyze", "z" * 5000], 2),
     (["analyze", "file:" + "a" * 5000], 3),
     (["analyze", "file:" + "a/" * 2000], 3),
+    (["analyze", "s03", "--out", "a" * 5000], 2),
+    (["analyze", "s03", "--out", "a/" * 2000], 2),
 ])
 def test_long_inputs_are_quoted_in_part(argv, code, capsys):
     assert main(argv) == code

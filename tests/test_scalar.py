@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from braidbax import PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
 from braidbax.scalar import (
     MAX_SYMBOL_EXPONENT,
+    MAX_SYMBOLS,
     ExponentLimitExceeded,
     _canonical,
     _canonical_term,
@@ -45,6 +46,14 @@ def test_symbol_table_basics():
         SymbolTable(["i"])  # the imaginary unit is reserved
     with pytest.raises(ValueError):
         SymbolTable(["a", "a"])
+
+
+def test_symbol_count_is_bounded():
+    names = [f"s{k}" for k in range(MAX_SYMBOLS + 1)]
+    table = SymbolTable(names[:-1])
+    assert table.n == MAX_SYMBOLS == 100
+    with pytest.raises(ValueError, match="101 symbols, beyond the limit 100"):
+        SymbolTable(names)
 
 
 def test_foreign_table_mix_rejected():

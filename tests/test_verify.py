@@ -262,20 +262,36 @@ def _zero_division(index):
     raise ZeroDivisionError("division by zero")
 
 
-def test_a_chunk_checks_the_cases_a_one_chunk_run_gives_it(monkeypatch):
+def _record_cases(monkeypatch):
+    """The (index, printed values) of each plumbing case checked from now on."""
     seen = []
     monkeypatch.setattr(verify, "_check_case",
                         lambda table, index, values: seen.append((index, list(map(str, values)))))
-    assert verify._check_cases(5, 0, 1000) is None
+    return seen
+
+
+def test_a_chunk_checks_the_cases_a_one_chunk_run_gives_it(monkeypatch):
+    seen = _record_cases(monkeypatch)
+    success = "1000 randomised cases (field axioms, round-trips, tensor products), seed 5"
+    assert verify._check_cases(5, 0, 1000) == success
     whole = seen[:]
     seen.clear()
     for lo, hi in ((0, 333), (333, 667), (667, 1000)):
-        assert verify._check_cases(5, lo, hi) is None
+        assert verify._check_cases(5, lo, hi) == success
     assert [index for index, _ in whole] == list(range(1000))
     assert seen == whole
 
 
-@pytest.mark.parametrize("seed", range(3))
+def test_each_seed_draws_its_own_cases(monkeypatch):
+    seen = _record_cases(monkeypatch)
+    seeds = (0, 1, -1, 10 ** 50)
+    for seed in seeds:
+        verify._check_cases(seed, 0, 1)
+    assert [index for index, _ in seen] == [0] * len(seeds)
+    assert len({tuple(values) for _, values in seen}) == len(seeds)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, -1])
 def test_plumbing_report_does_not_depend_on_the_chunk_count(seed, monkeypatch):
     seen = {tuple(_outcomes(_pool_report(monkeypatch, workers, seed))) for workers in (1, 2, 4)}
     assert len(seen) == 1
