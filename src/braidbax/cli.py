@@ -14,6 +14,7 @@ be read or lies outside the searchable scalar domain.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -37,8 +38,8 @@ from .ncplane import (
     s14_plane,
 )
 from .parser import MAX_EXPONENT, ParseError, parse
-from .scalar import (ExponentLimitExceeded, PoleError, PrintLimitExceeded, SymbolTable,
-                     UnknownSymbol)
+from .scalar import (DegreeLimitExceeded, ExponentLimitExceeded, PoleError, PrintLimitExceeded,
+                     SymbolTable, UnknownSymbol)
 from .spectral import (
     IrreducibleOverSearchSpace,
     RepeatedRoots,
@@ -393,6 +394,7 @@ def _run_verify_all(args) -> Verb:
 # ------------------------------------------------------------------ wiring
 
 
+@functools.cache  # built on the first call to main, then kept: parse_args does not change it
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="braidbax",
@@ -475,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, PrintLimitExceeded, ExponentLimitExceeded) as exc:
+    except (InputError, PrintLimitExceeded, ExponentLimitExceeded, DegreeLimitExceeded) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     return 0 if report.holds else 1

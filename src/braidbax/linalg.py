@@ -30,6 +30,10 @@ __all__ = [
 ]
 
 
+# the largest n matrix_from_obj reads: R-matrices on V (x) V with dim V <= 4
+MAX_DIMENSION = 16
+
+
 class DimensionMismatch(Exception):
     """Matrix operands whose shapes do not fit the operation."""
 
@@ -398,8 +402,9 @@ def matrix_from_obj(obj: Mapping, table: Optional[SymbolTable] = None) -> Square
     """Rebuild a matrix from its plain-data form, bit-exactly.
 
     When no table is supplied, one is created from the object's symbol
-    list.  Raises ValueError for structural problems; entry text errors
-    propagate as ParseError or UnknownSymbol.
+    list.  Raises ValueError for structural problems, a dimension beyond
+    MAX_DIMENSION among them, before any entry is read; entry text
+    errors propagate as ParseError or UnknownSymbol.
     """
     if not isinstance(obj, Mapping):
         raise ValueError("matrix object must be a mapping")
@@ -411,6 +416,8 @@ def matrix_from_obj(obj: Mapping, table: Optional[SymbolTable] = None) -> Square
         raise ValueError(f"matrix object lacks key {missing}") from None
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError("matrix dimension must be a positive integer")
+    if n > MAX_DIMENSION:
+        raise ValueError(f"matrix dimension {n} is beyond the limit {MAX_DIMENSION}")
     if (not isinstance(symbols, list)
             or not all(isinstance(s, str) for s in symbols)):
         raise ValueError("matrix symbols must be a list of names")

@@ -54,19 +54,26 @@ its coefficient up to a unit as the generator of the ideal of Gaussian
 integers clearing L's coefficients, and the positive-int or quadrant
 rule fixes the unit.  Hence any route to such a value stores the same
 dicts, and the direct routes here are byte-identical to step-by-step
-arithmetic: a one-term value is canonicalised by formulas
-(_canonical_term), powered by scaling its exponents, and a matrix entry
+arithmetic: any numerator over a one-term denominator is canonicalised
+in one step (_canonical_over_term: the shift touches only the fields
+the denominator holds, and no constant-multiple test or gcd applies), a
+one-term value is powered by scaling its exponents, a matrix entry
 whose factors all have one-term denominators is summed over one common
-denominator and canonicalised once (_dot).
+denominator and canonicalised once (_dot), and the parser assembles a
+sum over one-term denominators before it canonicalises it once.
+_canonical stays the general route, the reference for the direct ones.
 
 The univariate gcd stays in Z[i][t]: a primitive remainder sequence
 (Collins 1967, Brown 1971) takes each pseudo-remainder's primitive part,
 so the gcd comes out with content one and its leading coefficient in the
 quadrant.  Numerator and denominator are then divided by it exactly: by
 Gauss's lemma the quotients have Gaussian-integer coefficients, so no
-denominators ever appear.  Every coefficient in the layer is an (re, im)
-int pair; Fraction appears only where values enter (SymbolTable.scalar)
-and where they are printed.
+denominators ever appear.  Each division step visits every degree
+between the dividend's and the divisor's, however sparse they are, so a
+pair whose degree passes MAX_GCD_DEGREE raises DegreeLimitExceeded
+before the gcd starts.  Every coefficient in the layer is an (re, im)
+int pair; Fraction appears only where values enter (SymbolTable.scalar).
+Printing divides each int by its gcd with the denominator (_ratio_str).
 
 SymbolTable.scalar is the one conversion into the field: every int,
 Fraction or Scalar handed to the package passes through it.
@@ -90,6 +97,7 @@ __all__ = ["PoleError", "Scalar", "SymbolTable", "UnknownSymbol", "sqrt_scalar"]
 
 MAX_SYMBOL_EXPONENT = (1 << 40) - 1  # the largest exponent of one symbol in a stored form
 MAX_SYMBOLS = 100  # the most names one table holds: its field masks take 4*n^2 bytes
+MAX_GCD_DEGREE = 10000  # the highest degree a one-symbol gcd starts from
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
 
@@ -111,6 +119,14 @@ class ExponentLimitExceeded(OverflowError):
 
     def __init__(self, name: str):
         super().__init__(f"exponent of {name} beyond the limit {MAX_SYMBOL_EXPONENT}")
+
+
+class DegreeLimitExceeded(OverflowError):
+    """A one-symbol gcd would start from a degree beyond MAX_GCD_DEGREE."""
+
+    def __init__(self, name: str, degree: int):
+        super().__init__(f"quotient of degree {degree} in {name}, beyond the gcd limit "
+                         f"{MAX_GCD_DEGREE}")
 
 
 class SymbolTable:
@@ -311,13 +327,19 @@ def _content(coeffs):
 
     The integer gcd k of every real and imaginary part comes out first;
     the Gaussian Euclid then runs only on the quotients, and only when
-    their norms share a factor, since the content's norm divides each.
+    their norms share an odd factor, since the content's norm divides each.
     """
     k = math.gcd(*chain.from_iterable(coeffs))
     if k != 1:
         coeffs = [(r // k, i // k) for r, i in coeffs]
-    if math.gcd(*(r * r + i * i for r, i in coeffs)) == 1:
+    n = math.gcd(*(r * r + i * i for r, i in coeffs))
+    if n == 1:
         return (k, 0)
+    if not n & (n - 1):
+        # every norm is even, so 1 + i divides every quotient, and nothing
+        # more does: 2 = -i*(1 + i)^2 does not, and any other Gaussian
+        # prime has an odd norm
+        return (k, k)
     g = reduce(_gint_gcd, coeffs)
     return (g[0] * k, g[1] * k)
 
@@ -427,6 +449,10 @@ def _canonical(table, num, den):
             s, = active
             a = {e >> s: c for e, c in num.items()}
             b = {e >> s: c for e, c in den.items()}
+            degree = max(max(a), max(b))
+            if degree > MAX_GCD_DEGREE:
+                # a division step visits every degree down from the top one
+                raise DegreeLimitExceeded(table.names[table._shifts.index(s)], degree)
             g = _ugcd(a, b)
             if max(g):
                 # exact by Gauss's lemma, g being primitive
@@ -440,20 +466,48 @@ def _canonical(table, num, den):
     return _over_content(num, den)
 
 
-def _canonical_term(table, num, den):
-    # c*x^a / (d*x^b): the shift by formula, then _canonical's last step
-    (a, c), = num.items()
+def _canonical_over_term(table, num, den):
+    """_canonical for a denominator of one term, in one direct step.
+
+    Only a field the denominator holds can shift: wherever its field is
+    zero, that zero is already the minimum.  No constant-multiple test
+    or gcd applies over one term, so the shifted value goes straight to
+    the integer or content normalisation.  A positive int coefficient
+    over a monomial, the common case, has its integer content taken
+    first; _over_content runs only when the norms share a factor with
+    the int left over.
+    """
     (b, d), = den.items()
-    if a == b:
-        a = b = 0
-    elif a and b:
-        lo = _fields(table._masks, (a, b), min)
-        a -= lo
-        b -= lo
-    table._check(a | b)
+    if not num:
+        return {}, {0: (1, 0)}
+    if b:
+        lo = 0
+        for m in table._masks:
+            f = b & m
+            if f:
+                # the least of this field over b and every numerator key
+                for e in num:
+                    if e & m < f:
+                        f = e & m
+                lo |= f
+        if lo:
+            num = {e - lo: c for e, c in num.items()}
+            b -= lo
+    table._check(reduce(or_, num, b))
     if not b:
-        return _over_int({a: c}, d)
-    return _over_content({a: c}, {b: d})
+        return _over_int(num, d)
+    dr, di = d
+    if not di and dr > 0:
+        # the integer content k first; then the content is k itself unless
+        # dr/k shares a factor with every norm, the case _over_content settles
+        k = math.gcd(dr, *chain.from_iterable(num.values()))
+        if k != 1:
+            num = {e: (r // k, i // k) for e, (r, i) in num.items()}
+            dr //= k
+        if dr == 1 or math.gcd(dr, *[r * r + i * i for r, i in num.values()]) == 1:
+            return num, {b: (dr, 0)}
+        d = (dr, 0)
+    return _over_content(num, {b: d})
 
 
 def _over_int(num, d):
@@ -488,8 +542,8 @@ class Scalar:
 
     def __init__(self, table: SymbolTable, num: dict, den: dict):
         self.table = table
-        if len(num) == 1 and len(den) == 1:
-            self.num, self.den = _canonical_term(table, num, den)
+        if len(den) == 1:
+            self.num, self.den = _canonical_over_term(table, num, den)
         else:
             self.num, self.den = _canonical(table, num, den)
 
@@ -714,13 +768,22 @@ def _signed_term(coeff: str, monomial: str) -> str:
     return f"{coeff}*{monomial}"
 
 
-def _term_str(names, exps, re: Fraction, im: Fraction) -> str:
+def _ratio_str(x: int, d: int) -> str:
+    """str(Fraction(x, d)) for the positive int d, without building the Fraction."""
+    if d == 1:
+        return str(x)
+    g = math.gcd(x, d)
+    return str(x // g) if g == d else f"{x // g}/{d // g}"
+
+
+def _term_str(names, exps, re: int, im: int, d: int) -> str:
+    # the term (re + im*i)/d times the monomial of exps
     mono = "*".join(name if e == 1 else f"{name}^{e}"
                     for name, e in zip(names, exps) if e)
     if not im:
-        return _signed_term(str(re), mono)
+        return _signed_term(_ratio_str(re, d), mono)
     # the coefficient re + im*i is itself a signed sum of up to two terms
-    return _signed_term(_join_terms([_signed_term(str(c), m)
+    return _signed_term(_join_terms([_signed_term(_ratio_str(c, d), m)
                                      for c, m in ((re, ""), (im, "i")) if c]), mono)
 
 
@@ -736,8 +799,7 @@ def _join_terms(pieces: Sequence[str]) -> str:
 
 def _poly_str(table, poly, d: int) -> str:
     # the int-pair polynomial divided by the positive int d
-    return _join_terms([_term_str(table.names, table._unpack(e),
-                                  Fraction(poly[e][0], d), Fraction(poly[e][1], d))
+    return _join_terms([_term_str(table.names, table._unpack(e), *poly[e], d)
                         for e in sorted(poly, reverse=True)])
 
 

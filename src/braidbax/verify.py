@@ -22,15 +22,17 @@ process may use.  Every task is a check like any other: the plumbing
 section's 1000 seeded cases split into contiguous chunks, one per CPU,
 and the eight other sections are one task each.  Plumbing case `index`
 of seed S draws its values from its own stream, random.Random("S/index"),
-so a seed's inputs do not depend on the chunk layout.  A pipe holds one
-byte per task, the chunks first.  The process and a forked child per
-extra CPU each take one task at a time until the pipe is empty; a child
-answers as JSON on a pipe of its own.  The report does not depend on the
-CPU count: a section holds when all its tasks do, its detail is that of
-its first failing task in queue order (so the lowest failing plumbing
-case wins), and its elapsed time runs from its first task's start to its
-last task's end.  With one CPU, no fork or another live thread, the
-process takes every task itself.
+one int(random() * n) per integer drawn, so a seed's inputs do not
+depend on the chunk layout.  A case forms each sum and product that two
+of its identities name once, and checks every identity in full.  A
+pipe holds one byte per task, the chunks first.  The process and a
+forked child per extra CPU each take one task at a time until the pipe
+is empty; a child answers as JSON on a pipe of its own.  The report
+does not depend on the CPU count: a section holds when all its tasks
+do, its detail is that of its first failing task in queue order (so the
+lowest failing plumbing case wins), and its elapsed time runs from its
+first task's start to its last task's end.  With one CPU, no fork or
+another live thread, the process takes every task itself.
 """
 
 from __future__ import annotations
@@ -384,17 +386,19 @@ def _random_scalar(rng: random.Random, table: SymbolTable, names, terms: int = 3
     """A sum of 1..terms random terms (p/q + r/s*i) * prod name^k.
 
     p, r lie in -6..6, q, s in 1..4 and each k in -2..2, drawn in that
-    order per term.  The value is built as one polynomial over
-    12*prod name^2, which clears every q, s and negative k.
+    order per term, each as int(rng.random() * n) for a range of n
+    integers.  The value is built as one polynomial over 12*prod name^2,
+    which clears every q, s and negative k.
     """
+    draw = rng.random
     positions = [table.index(name) for name in names]
     num = {}
-    for _ in range(rng.randint(1, terms)):
-        re = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
-        im = rng.randint(-6, 6) * (12 // rng.randint(1, 4))
+    for _ in range(1 + int(draw() * terms)):
+        re = (int(draw() * 13) - 6) * (12 // (1 + int(draw() * 4)))
+        im = (int(draw() * 13) - 6) * (12 // (1 + int(draw() * 4)))
         exps = [0] * table.n
         for k in positions:
-            exps[k] = rng.randint(-2, 2) + 2
+            exps[k] = int(draw() * 5)  # the exponent plus 2
         key = table._pack(exps)
         old_re, old_im = num.get(key, (0, 0))
         re, im = old_re + re, old_im + im
@@ -440,10 +444,12 @@ def _check_case(table: SymbolTable, index: int, values: List[Scalar]) -> None:
                f"matrix serialisation failed to round-trip on case {index}")
         return
     a, b, c = values
-    _check(a + b == b + a and a * b == b * a, f"commutativity failed on case {index}")
-    _check((a + b) + c == a + (b + c), f"additive associativity failed on case {index}")
-    _check((a * b) * c == a * (b * c), f"multiplicative associativity failed on case {index}")
-    _check(a * (b + c) == a * b + a * c, f"distributivity failed on case {index}")
+    # each of these enters two identities: formed once, checked in both
+    ab, a_plus_b, b_plus_c = a * b, a + b, b + c
+    _check(a_plus_b == b + a and ab == b * a, f"commutativity failed on case {index}")
+    _check(a_plus_b + c == a + b_plus_c, f"additive associativity failed on case {index}")
+    _check(ab * c == a * (b * c), f"multiplicative associativity failed on case {index}")
+    _check(a * b_plus_c == ab + a * c, f"distributivity failed on case {index}")
     _check((a - a).is_zero(), f"additive inverse failed on case {index}")
     if not b.is_zero():
         _check((a / b) * b == a, f"division failed on case {index}")

@@ -1,15 +1,19 @@
 """Command-line interface: exit codes, text output, JSON reports."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import jsonschema
 import pytest
+from hypothesis import given, strategies as st
 
 from braidbax import SymbolTable, builtin_case, matrix_from_obj
 from braidbax import cli
 from braidbax.cli import main
+from braidbax.scalar import MAX_GCD_DEGREE
 
 from conftest import golden, without_elapsed
 
@@ -114,6 +118,21 @@ def test_analyze_accepts_a_matrix_file(tmp_path, capsys):
     assert "minimal polynomial: t - 1" in out
     assert "projector at 1:" in out
     assert "skipped: braid relation needs a 4x4 matrix" in out
+
+
+def test_matrix_files_are_bounded_in_dimension(tmp_path, capsys):
+    identity = [["1" if r == c else "0" for c in range(16)] for r in range(16)]
+    target = _write_matrix(tmp_path / "m16.json", 16, [], identity)
+    assert main(["analyze", f"file:{target}"]) == 0
+    assert "minimal polynomial: t - 1" in capsys.readouterr().out
+    # rejected before any entry is read: these would not parse
+    target = _write_matrix(tmp_path / "m17.json", 17, [], [["1 +"] * 17] * 17)
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: {target} does not describe a matrix: "
+        "matrix dimension 17 is beyond the limit 16"]
 
 
 def test_analyze_symbolic_file(tmp_path, capsys):
@@ -341,6 +360,22 @@ def test_exponents_beyond_the_key_bound_are_input_errors(capsys):
         "input error: exponent of a beyond the limit 1099511627775"]
 
 
+def test_a_one_symbol_gcd_beyond_the_degree_bound_is_an_input_error(tmp_path, capsys):
+    # every exponent passes the key bound; the gcd would step through 10^11 degrees
+    assert main(["ncplane", "s03", "--c=(a^99999999999+1)/(a+1)"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "input error: quotient of degree 99999999999 in a, beyond the gcd limit "
+        f"{MAX_GCD_DEGREE}"]
+    target = _write_matrix(tmp_path / "m.json", 1, ["a"],
+                           [[f"(a^{MAX_GCD_DEGREE + 1} - 1)/(a - 1)"]])
+    assert main(["analyze", f"file:{target}"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"input error: quotient of degree {MAX_GCD_DEGREE + 1} in a, beyond the gcd limit "
+        f"{MAX_GCD_DEGREE}"]
+
+
 def test_parameters_may_name_at_most_a_hundred_symbols(capsys):
     names = [f"a{k}" for k in range(101)]
     assert main(["ncplane", "s03", "--c=" + "+".join(names[:-1])]) == 0
@@ -537,6 +572,28 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+def test_one_process_answers_each_call_as_a_fresh_parser_does(capsys):
+    # main keeps its argument parser; no call may see what an earlier one parsed
+    calls = [["analyze", "s03", "--format", "json"], ["analyze", "s03"],
+             ["baxterize", "s03", "--p=3"], ["baxterize", "s03"],
+             ["ncplane", "s03", "--c=2", "--format", "json"], ["ncplane", "s03"],
+             ["baxterize", "s03", "--p=x"], ["analyze", "s14", "--out"],
+             ["analyze", "s03", "--format", "json"]]
+
+    def outcome(argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    kept = [outcome(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(outcome(argv))
+    assert kept == fresh
+    assert [code for code, _, _ in kept] == [0, 0, 0, 0, 0, 0, 2, 2, 0]
+
+
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "braidbax", "analyze", "s03", "--format", "json"],
@@ -560,3 +617,62 @@ def test_builtin_tables_are_fresh_per_invocation(capsys):
     for item in s14["projectors"]:
         for row in item["matrix"]["entries"]:
             assert all("q" not in entry for entry in row)
+
+
+# ---------------------------------------------------------------------- fuzz
+#
+# Parameter texts drawn from the grammar's tokens and a few stray
+# characters, and small matrix files of such entries: whatever the input,
+# main returns 0..3, raises nothing, and a rejection is one stderr line.
+# Structured texts raise only atoms to a power, and a token soup has at
+# most six pieces, so every input runs in milliseconds.
+
+_PIECES = ("0", "1", "2", "7", "i", "a", "b", "t", "x1", "+", "-", "*", "/", "^",
+           "(", ")", " ", ",", "@", "é", "٣", "9" * 30)
+_ATOMS = st.sampled_from(["0", "1", "2", "7", "i", "a", "b", "9" * 30])
+_ATOMS |= st.tuples(_ATOMS, st.sampled_from(["0", "2", "7", "-1"])).map("^".join)
+_fuzz_texts = st.recursive(_ATOMS, lambda sub: st.one_of(
+    st.tuples(sub, st.sampled_from(["+", "-", "*", "/"]), sub).map("".join),
+    sub.map("({})".format),
+    sub.map("-{}".format)), max_leaves=4) | st.lists(st.sampled_from(_PIECES),
+                                                     max_size=6).map("".join)
+
+
+@st.composite
+def _fuzz_argvs(draw, directory):
+    verb = draw(st.sampled_from(["ncplane", "baxterize", "analyze"]))
+    if verb == "analyze":
+        n = draw(st.integers(1, 4))
+        obj = {"n": n,
+               "symbols": draw(st.sampled_from([[], ["a"], ["a", "b"], ["b", "a"], ["a", "a"],
+                                                ["t"], ["i"], ["x1"]])),
+               "entries": draw(st.lists(st.lists(_fuzz_texts, min_size=n, max_size=n),
+                                        min_size=n, max_size=n))}
+        path = directory / f"fuzz{draw(st.integers(0, 9))}.json"
+        path.write_text(json.dumps(obj))
+        return ["analyze", f"file:{path}"]
+    argv = [verb, draw(st.sampled_from(["s03", "s14"]))]
+    options = ["--triplet"] if verb == "baxterize" else ["--c", "--kplus", "--kzero"]
+    for option in draw(st.lists(st.sampled_from(options), max_size=2, unique=True)):
+        if option == "--triplet":
+            argv.append("--triplet=" + ",".join(draw(st.lists(_fuzz_texts, min_size=1,
+                                                              max_size=6))))
+        else:
+            argv.append(f"{option}={draw(_fuzz_texts)}")
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_directory(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@given(data=st.data())
+def test_main_ends_every_input_in_an_exit_code(fuzz_directory, data):
+    argv = data.draw(_fuzz_argvs(fuzz_directory))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n"), argv

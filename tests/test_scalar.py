@@ -11,11 +11,13 @@ from hypothesis import given, strategies as st
 
 from braidbax import PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
 from braidbax.scalar import (
+    MAX_GCD_DEGREE,
     MAX_SYMBOL_EXPONENT,
     MAX_SYMBOLS,
+    DegreeLimitExceeded,
     ExponentLimitExceeded,
     _canonical,
-    _canonical_term,
+    _canonical_over_term,
     _content,
     _divide,
     _dot,
@@ -54,6 +56,20 @@ def test_symbol_count_is_bounded():
     assert table.n == MAX_SYMBOLS == 100
     with pytest.raises(ValueError, match="101 symbols, beyond the limit 100"):
         SymbolTable(names)
+
+
+def test_one_symbol_gcd_degree_is_bounded():
+    table = SymbolTable(["a", "b"])
+    a, b = table.symbols("a", "b")
+    n = MAX_GCD_DEGREE
+    # at the bound the gcd is taken: a^n - 1 = (a - 1)(a^(n-1) + ... + a + 1)
+    value = (a ** n - 1) / (a - 1)
+    assert value.den == {0: (1, 0)} and len(value.num) == n
+    with pytest.raises(DegreeLimitExceeded,
+                       match=f"^quotient of degree {n + 1} in b, beyond the gcd limit {n}$"):
+        (b ** (n + 1) - 1) / (b - 1)
+    # with two active symbols no gcd is taken, so no bound applies
+    assert len(((a ** (n + 1) - b) / (a - b)).num) == 2
 
 
 def test_foreign_table_mix_rejected():
@@ -176,13 +192,26 @@ def _keys(table, n_max=6):
     return st.tuples(*[st.integers(0, n_max)] * table.n).map(table._pack)
 
 
+def _routed(canonical, table, num, den):
+    try:
+        return canonical(table, num, den)
+    except ExponentLimitExceeded as exc:
+        return str(exc)
+
+
 @given(st.data())
 def test_one_term_route_matches_the_general_route(data):
     table = data.draw(st.sampled_from(_TABLES))
     common = data.draw(_gints)  # a shared factor, so that content is found
-    num = {data.draw(_keys(table)): _gmul(common, data.draw(_gints))}
-    den = {data.draw(_keys(table)): _gmul(common, data.draw(_gints))}
-    assert _canonical_term(table, num, den) == _canonical(table, num, den)
+    # exponents at and past the bound, so that both routes raise alike
+    field = st.integers(0, 6) | st.sampled_from([MAX_SYMBOL_EXPONENT, MAX_SYMBOL_EXPONENT + 1])
+    keys = st.tuples(*[field] * table.n).map(table._pack)
+    num = data.draw(st.dictionaries(keys, _gints.map(lambda c: _gmul(common, c)), max_size=4))
+    # a positive int over a monomial takes the step's integer-content path
+    den = {data.draw(keys): data.draw(_gints.map(lambda c: _gmul(common, c))
+                                      | st.integers(1, 60).map(lambda r: (r, 0)))}
+    assert (_routed(_canonical_over_term, table, num, den)
+            == _routed(_canonical, table, num, den))
 
 
 @given(st.lists(_gints, min_size=1, max_size=5), _gints, st.integers(1, 6))

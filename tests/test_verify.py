@@ -418,15 +418,19 @@ def test_children_are_reaped_when_the_parent_chunk_raises(monkeypatch):
 
 
 def _random_scalar_by_arithmetic(rng, table, names, terms=3):
-    # the plumbing inputs built term by term through the field operations:
+    # the plumbing inputs built term by term through the field operations,
+    # each integer in lo..hi drawn as lo + int(rng.random() * (hi - lo + 1)):
     # the reference that the direct one-polynomial builder must reproduce
+    def pick(lo, hi):
+        return lo + int(rng.random() * (hi - lo + 1))
+
     total = table.zero()
-    for _ in range(rng.randint(1, terms)):
-        coeff = table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
-        coeff = coeff + table.scalar(Fraction(rng.randint(-6, 6), rng.randint(1, 4))) * table.i()
+    for _ in range(pick(1, terms)):
+        coeff = table.scalar(Fraction(pick(-6, 6), pick(1, 4)))
+        coeff = coeff + table.scalar(Fraction(pick(-6, 6), pick(1, 4))) * table.i()
         mono = table.one()
         for name in names:
-            mono = mono * table.symbol(name) ** rng.randint(-2, 2)
+            mono = mono * table.symbol(name) ** pick(-2, 2)
         total = total + coeff * mono
     return total
 
