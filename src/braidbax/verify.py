@@ -23,16 +23,16 @@ section's 1000 seeded cases split into contiguous chunks, one per CPU,
 and the eight other sections are one task each.  Plumbing case `index`
 of seed S draws its values from its own stream, random.Random("S/index"),
 one int(random() * n) per integer drawn, so a seed's inputs do not
-depend on the chunk layout.  A case forms each sum and product that two
-of its identities name once, and checks every identity in full.  A
-pipe holds one byte per task, the chunks first.  The process and a
-forked child per extra CPU each take one task at a time until the pipe
-is empty; a child answers as JSON on a pipe of its own.  The report
-does not depend on the CPU count: a section holds when all its tasks
-do, its detail is that of its first failing task in queue order (so the
-lowest failing plumbing case wins), and its elapsed time runs from its
-first task's start to its last task's end.  With one CPU, no fork or
-another live thread, the process takes every task itself.
+depend on the chunk layout.  A case forms each sum and product that
+several of its identities name once, and checks every identity in
+full.  A pipe holds one byte per task, the chunks first.  The process
+and a forked child per extra CPU each take one task at a time until the
+pipe is empty; a child answers as JSON on a pipe of its own.  The
+report does not depend on the CPU count: a section holds when all its
+tasks do, its detail is that of its first failing task in queue order
+(so the lowest failing plumbing case wins), and its elapsed time runs
+from its first task's start to its last task's end.  With one CPU, no
+fork or another live thread, the process takes every task itself.
 """
 
 from __future__ import annotations
@@ -444,7 +444,7 @@ def _check_case(table: SymbolTable, index: int, values: List[Scalar]) -> None:
                f"matrix serialisation failed to round-trip on case {index}")
         return
     a, b, c = values
-    # each of these enters two identities: formed once, checked in both
+    # each enters more than one identity below: formed once, checked in each
     ab, a_plus_b, b_plus_c = a * b, a + b, b + c
     _check(a_plus_b == b + a and ab == b * a, f"commutativity failed on case {index}")
     _check(a_plus_b + c == a + b_plus_c, f"additive associativity failed on case {index}")
