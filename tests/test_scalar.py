@@ -7,7 +7,7 @@ from functools import reduce
 from itertools import chain
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from braidbax import PoleError, Scalar, SymbolTable, UnknownSymbol, sqrt_scalar
 from braidbax.scalar import (
@@ -215,6 +215,7 @@ def test_one_term_route_matches_the_general_route(data):
 
 
 @given(st.lists(_gints, min_size=1, max_size=5), _gints, st.integers(1, 6))
+@example(coeffs=[(1, 0), (0, 1), (2, 1)], common=(1, 1), k=3)  # norms' gcd 2: content 3*(1 + i)
 def test_integer_first_content_gives_the_euclid_forms(coeffs, common, k):
     coeffs = [_gmul((k * common[0], k * common[1]), c) for c in coeffs]
 
