@@ -54,7 +54,9 @@ raises ExponentLimitExceeded.  str(Scalar) prints no power of a
 number, so everything it prints still parses back.  Both bounds apply
 to the canonical form of the base, and the exponent bound to every sum,
 product, quotient and power as it is formed, so a Laurent value raises
-where step-by-step arithmetic raises.
+where step-by-step arithmetic raises.  A quotient of sums in one symbol
+takes a gcd, bounded by scalar.MAX_GCD_DEGREE: '(a^99999999999+1)/(a+1)'
+raises DegreeLimitExceeded before the gcd starts.
 """
 
 from __future__ import annotations
