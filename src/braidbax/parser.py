@@ -15,23 +15,17 @@ left.  The name 'i' always denotes the imaginary unit; any other name
 must be declared by the symbol table.  Everything str(Scalar) emits
 parses back to an identical stored value.
 
-Values are assembled, not canonicalised token by token.  While every
-value read so far has a one-term denominator, it is held as a Laurent
-value: a tuple (poly, d) of a polynomial over Gaussian-integer (re, im)
-pairs and a positive int d, standing for poly/d.  Its keys are packed
-as the scalar layer packs them, with _BIAS added to every exponent
-field, so that a negative power fits in a key: the key of 1 is the bias
-key, a product of monomials is ka + kb minus the bias key.  Sums,
-products, quotients by one term and powers of a unit times a monomial
-are formed on these tuples, and the whole text becomes one Scalar,
-canonicalised once, at the end.  A value whose denominator is one term
-has exactly one canonical form (see the scalar module), so this stores
-what step-by-step arithmetic stores.  Any other power is taken as a
-Scalar and comes back when its denominator is one term.  A quotient by
-a sum, or a negative power of a sum, leaves the route: from there on
-the parser uses Scalar arithmetic in reading order, each Laurent
-operand canonicalised into the Scalar that step-by-step arithmetic
-would have held at that point.
+Values are assembled, not canonicalised token by token.  Every atom is
+read as a scalar._Laurent value, a numerator over one term not yet
+canonicalised; sums, products and quotients by one term of such values
+stay Laurent values, and the text's value is canonicalised once, at the
+end.  A value whose denominator is one term has exactly one canonical
+form (see the scalar module), so this stores what step-by-step
+arithmetic stores.  A power of a unit times a monomial stays a Laurent
+value too.  A quotient by a sum or an operand that is a Scalar takes
+Scalar arithmetic in reading order, and any other power is taken of
+the canonical base as a Scalar; a result whose denominator is one term
+is read on as a Laurent value.
 
 Parentheses and unary minus nest at most MAX_DEPTH deep, which keeps
 the recursion far inside the interpreter's limit and far above the few
@@ -50,13 +44,13 @@ limit bounds both instead.  Units never grow, so 'i^99999' and
 'x^20000' parse, while '2^99999999999' raises ParseError without
 allocating.  The exponents it scales are bounded by the scalar layer:
 '(a^99999999999)^99999999999' passes scalar.MAX_SYMBOL_EXPONENT and
-raises ExponentLimitExceeded.  str(Scalar) prints no power of a
-number, so everything it prints still parses back.  Both bounds apply
-to the canonical form of the base, and the exponent bound to every sum,
-product, quotient and power as it is formed, so a Laurent value raises
-where step-by-step arithmetic raises.  A quotient of sums in one symbol
-takes a gcd, bounded by scalar.MAX_GCD_DEGREE: '(a^99999999999+1)/(a+1)'
-raises DegreeLimitExceeded before the gcd starts.
+raises ExponentLimitExceeded, as does every sum, product and quotient
+whose stored form would pass it, at the step where it is formed.
+Both bounds apply to the canonical form of the base.  str(Scalar)
+prints no power of a number, so everything it prints still parses
+back.  A quotient of sums in one symbol takes a gcd, bounded by
+scalar.MAX_GCD_DEGREE: '(a^99999999999+1)/(a+1)' raises
+DegreeLimitExceeded before the gcd starts.
 """
 
 from __future__ import annotations
@@ -64,11 +58,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from functools import reduce
-from operator import or_
 
-from .scalar import (MAX_SYMBOL_EXPONENT, ExponentLimitExceeded, Scalar, SymbolTable, _fields,
-                     _gmul, _gpow, _padd, _pmul, _pneg)
+from .scalar import Scalar, SymbolTable, _Laurent, _laurent
 
 __all__ = ["ParseError", "parse"]
 
@@ -89,16 +80,6 @@ MAX_DIGITS = 4300
 _TOKEN = re.compile(r"(?P<int>\d+)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
                     r"|(?P<space>\s+)|(?P<bad>.)", re.DOTALL)
 
-# Every exponent field of a Laurent key holds the exponent plus _BIAS.  A
-# bounded value has |exponent| <= 2^40 - 1, a product or quotient of two
-# at most twice that, so a field stays far inside 0..2^64 until it is checked.
-_BIAS = 1 << 62
-# Exponents in -_NEAR.._NEAR - 1 span at most 2^40 - 1, so a value whose
-# every field lies there passes the bound without a closer look.
-_NEAR = 1 << 39
-
-_UNITS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
-
 
 def _tokenize(text: str):
     toks = []
@@ -113,15 +94,12 @@ def _tokenize(text: str):
 
 
 class _Cursor:
-    __slots__ = ("toks", "k", "depth", "table", "one", "near")
+    __slots__ = ("toks", "k", "depth")
 
-    def __init__(self, toks, table: SymbolTable):
+    def __init__(self, toks):
         self.toks = toks
         self.k = 0
         self.depth = 0
-        self.table = table
-        self.one = table._pack([_BIAS] * table.n)  # the key of the constant 1
-        self.near = table._pack([_BIAS - _NEAR] * table.n)
 
     def descend(self, pos: int):
         self.depth += 1
@@ -156,174 +134,69 @@ def parse(text: str, table: SymbolTable) -> Scalar:
     Raises ParseError for malformed input, UnknownSymbol for undeclared
     names, and PoleError when the text divides by an exact zero.
     """
-    cur = _Cursor(_tokenize(text), table)
-    value = _expr(cur)
+    cur = _Cursor(_tokenize(text))
+    value = _expr(cur, table)
     kind, _, pos = cur.current()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return _scalar(cur, value)
+    return value.scalar() if type(value) is _Laurent else value
 
 
-# -- Laurent values: (poly over biased keys, positive int d) --
-
-
-def _lowest(cur: _Cursor, poly) -> int:
-    """The key whose every field is the least of that field over poly and 1."""
-    return _fields(cur.table._masks, [*poly, cur.one], min)
-
-
-def _scalar(cur: _Cursor, value) -> Scalar:
-    """value as a Scalar; a Laurent value is canonicalised here, once."""
-    if type(value) is Scalar:
-        return value
-    poly, d = value
-    lo = _lowest(cur, poly)
-    return Scalar(cur.table, {e - lo: c for e, c in poly.items()}, {cur.one - lo: (d, 0)})
-
-
-def _bounded(cur: _Cursor, poly):
-    """poly, after ExponentLimitExceeded wherever its stored form would
-    hold an exponent beyond the bound, as the scalar layer checks it."""
-    near = cur.near
-    guard = cur.table._guard
-    for e in poly:
-        if (e - near) & guard:
-            # a field outside -_NEAR.._NEAR - 1 (a borrow shows too): the stored form decides
-            lo = _lowest(cur, poly)
-            cur.table._check(reduce(or_, (e - lo for e in poly), cur.one - lo))
-            break
-    return poly
-
-
-def _add(cur: _Cursor, a, b):
-    (pa, da), (pb, db) = a, b
-    if da != db:
-        d = math.lcm(da, db)
-        sa, sb = d // da, d // db
-        pa = {e: (r * sa, i * sa) for e, (r, i) in pa.items()} if sa != 1 else pa
-        pb = {e: (r * sb, i * sb) for e, (r, i) in pb.items()} if sb != 1 else pb
-        da = d
-    return _bounded(cur, _padd(pa, pb)), da
-
-
-def _mul(cur: _Cursor, a, b):
-    (pa, da), (pb, db) = a, b
-    if len(pa) < len(pb):
-        pa, pb = pb, pa
-    one = cur.one
-    return _bounded(cur, _pmul(pa, {e - one: c for e, c in pb.items()})), da * db
-
-
-def _inverse_term(cur: _Cursor, value):
-    # 1/(c*x^k/d) = d*conj(c)*x^-k / |c|^2, for a poly of one term
-    (k, (cr, ci)), = value[0].items()
-    return {2 * cur.one - k: (cr * value[1], -ci * value[1])}, cr * cr + ci * ci
-
-
-def _laurent(cur: _Cursor, s: Scalar):
-    """The Laurent value of a Scalar whose denominator is one term."""
-    (b, (dr, di)), = s.den.items()
-    shift = cur.one - b
-    if di:
-        h = (dr, -di)
-        return {e + shift: _gmul(c, h) for e, c in s.num.items()}, dr * dr + di * di
-    return {e + shift: c for e, c in s.num.items()}, dr
-
-
-def _raise(cur: _Cursor, value, e: int, pos: int):
-    """The Laurent value to the power e.
-
-    A unit times a monomial, such as x^2 or i^3, is stored as it stands
-    and never grows, so it is powered in place; any other base is
-    canonicalised and powered as a Scalar, and the power stays Laurent
-    when its denominator is one term.
-    """
-    poly, d = value
-    if len(poly) == 1 and d == 1:
-        (k, c), = poly.items()
-        if c in _UNITS:
-            n = abs(e)
-            # the stored exponents are |field - _BIAS|; checked before any field can carry
-            for name, x in zip(cur.table.names, cur.table._unpack(k)):
-                if abs(x - _BIAS) * n > MAX_SYMBOL_EXPONENT:
-                    raise ExponentLimitExceeded(name)
-            return {cur.one + (k - cur.one) * e: _gpow(c if e >= 0 else (c[0], -c[1]), n)}, 1
-    base = _scalar(cur, value)
-    _check_power(cur.table, base, e, pos)
-    power = base ** e
-    return _laurent(cur, power) if len(power.den) == 1 else power
-
-
-# -- the grammar --
-
-
-def _expr(cur: _Cursor):
-    value = _term(cur)
+def _expr(cur: _Cursor, table: SymbolTable):
+    value = _term(cur, table)
     while True:
         op = cur.take_op("+", "-")
         if not op:
             return value
-        rhs = _term(cur)
-        if type(value) is tuple and type(rhs) is tuple:
-            value = _add(cur, value, rhs if op == "+" else (_pneg(rhs[0]), rhs[1]))
-        else:
-            a, b = _scalar(cur, value), _scalar(cur, rhs)
-            value = a + b if op == "+" else a - b
+        rhs = _term(cur, table)
+        value = value + rhs if op == "+" else value - rhs
 
 
-def _term(cur: _Cursor):
-    value = _unary(cur)
+def _term(cur: _Cursor, table: SymbolTable):
+    value = _unary(cur, table)
     while True:
         op = cur.take_op("*", "/")
         if not op:
             return value
-        rhs = _unary(cur)
-        if type(value) is tuple and type(rhs) is tuple and (op == "*" or len(rhs[0]) == 1):
-            value = _mul(cur, value, rhs if op == "*" else _inverse_term(cur, rhs))
-        else:
-            # a quotient by a sum, or by zero, or a Scalar operand: field arithmetic
-            a, b = _scalar(cur, value), _scalar(cur, rhs)
-            value = a * b if op == "*" else a / b
+        rhs = _unary(cur, table)
+        value = value * rhs if op == "*" else value / rhs
 
 
-def _unary(cur: _Cursor):
+def _unary(cur: _Cursor, table: SymbolTable):
     if not cur.take_op("-"):
-        return _power(cur)
+        return _power(cur, table)
     cur.descend(cur.toks[cur.k - 1][2])
-    value = _unary(cur)
+    value = -_unary(cur, table)
     cur.depth -= 1
-    return (_pneg(value[0]), value[1]) if type(value) is tuple else -value
-
-
-def _power(cur: _Cursor):
-    value = _atom(cur)
-    while cur.take_op("^"):
-        pos = cur.current()[2]
-        e = _exponent(cur)
-        if type(value) is tuple:
-            value = _raise(cur, value, e, pos)
-        else:
-            _check_power(cur.table, value, e, pos)
-            value = value ** e
     return value
 
 
-def _check_power(table: SymbolTable, value: Scalar, e: int, pos: int) -> None:
-    """Raise ParseError where value ** e passes the degree or digit bound."""
-    if len(value.num) > 1 or len(value.den) > 1:
-        degree = abs(e) * max(sum(table._unpack(x)) for x in (*value.num, *value.den))
-        if degree > MAX_EXPONENT:
-            raise ParseError(f"power of a sum reaches total degree {degree}, "
-                             f"beyond the limit {MAX_EXPONENT}", pos)
-        return
-    # decimal digits a coefficient gains per unit of |e|: log10 of its modulus
-    growth = max((math.log10(re * re + im * im) / 2
-                  for re, im in (*value.num.values(), *value.den.values())),
-                 default=0)
-    limit = _digit_limit()
-    if growth and abs(e) > limit / growth:
-        raise ParseError(f"power of a single term reaches more than "
-                         f"{limit} coefficient digits", pos)
+def _power(cur: _Cursor, table: SymbolTable):
+    value = _atom(cur, table)
+    while cur.take_op("^"):
+        pos = cur.current()[2]
+        e = _exponent(cur)
+        if type(value) is _Laurent:
+            if value.is_unit_term():
+                value = value.unit_power(e)  # a unit times a monomial never grows
+                continue
+            value = value.scalar()
+        if len(value.num) > 1 or len(value.den) > 1:
+            degree = abs(e) * max(sum(table._unpack(x)) for x in (*value.num, *value.den))
+            if degree > MAX_EXPONENT:
+                raise ParseError(f"power of a sum reaches total degree {degree}, "
+                                 f"beyond the limit {MAX_EXPONENT}", pos)
+        else:
+            # decimal digits a coefficient gains per unit of |e|: log10 of its modulus
+            growth = max((math.log10(re * re + im * im) / 2
+                          for re, im in (*value.num.values(), *value.den.values())),
+                         default=0)
+            limit = _digit_limit()
+            if growth and abs(e) > limit / growth:
+                raise ParseError(f"power of a single term reaches more than "
+                                 f"{limit} coefficient digits", pos)
+        value = _laurent(value ** e)
+    return value
 
 
 def _exponent(cur: _Cursor) -> int:
@@ -356,22 +229,21 @@ def _int_literal(text: str, pos: int) -> int:
     return int(text)
 
 
-def _atom(cur: _Cursor):
+def _atom(cur: _Cursor, table: SymbolTable):
     kind, text, pos = cur.current()
     if kind == "int":
         cur.advance()
         n = _int_literal(text, pos)
-        return ({cur.one: (n, 0)} if n else {}), 1
+        return _Laurent(table, {0: (n, 0)} if n else {})
     if kind == "name":
         cur.advance()
         if text == "i":
-            return {cur.one: (0, 1)}, 1
-        table = cur.table
-        return {cur.one + (1 << table._shifts[table.index(text)]): (1, 0)}, 1
+            return _Laurent(table, {0: (0, 1)})
+        return _Laurent.symbol(table, text)
     if kind == "op" and text == "(":
         cur.advance()
         cur.descend(pos)
-        value = _expr(cur)
+        value = _expr(cur, table)
         cur.expect_op(")")
         cur.depth -= 1
         return value

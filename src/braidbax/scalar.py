@@ -60,7 +60,8 @@ the denominator holds, and no constant-multiple test or gcd applies), a
 one-term value is powered by scaling its exponents, a matrix entry
 whose factors all have one-term denominators is summed over one common
 denominator and canonicalised once (_dot), and the parser assembles a
-sum over one-term denominators before it canonicalises it once.
+value over one-term denominators (_Laurent) before it canonicalises it
+once.
 _canonical stays the general route, the reference for the direct ones.
 
 The univariate gcd stays in Z[i][t]: a primitive remainder sequence
@@ -100,6 +101,7 @@ MAX_SYMBOLS = 100  # the most names one table holds: its field masks take 4*n^2 
 MAX_GCD_DEGREE = 10000  # the highest degree a one-symbol gcd starts from
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
+_UNITS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
 
 
 class UnknownSymbol(Exception):
@@ -629,15 +631,7 @@ class Scalar:
                 raise PoleError("zero raised to a negative power")
             num, den, e = den, num, -e
         if len(num) == 1 and len(den) == 1:
-            # one term over one term: scale the exponents, power the coefficients;
-            # the bound is checked first, as a field past 2^64 would carry
-            (a, c), = num.items()
-            (b, d), = den.items()
-            table = self.table
-            for name, x in zip(table.names, table._unpack(a | b)):
-                if x * e > MAX_SYMBOL_EXPONENT:
-                    raise ExponentLimitExceeded(name)
-            return Scalar(table, {a * e: _gpow(c, e)}, {b * e: _gpow(d, e)})
+            return Scalar(self.table, *_term_power(self.table, num, den, e))
         base = self if num is self.num else Scalar(self.table, num, den)
         return _power(self.table.one(), base, e)
 
@@ -666,6 +660,18 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self})"
+
+
+def _term_power(table, num, den, e: int):
+    """One stored term over one to the power e >= 0: the exponents scaled,
+    the coefficients powered.  The bound is checked first, as a field
+    past 2^64 would carry."""
+    (a, c), = num.items()
+    (b, d), = den.items()
+    for name, x in zip(table.names, table._unpack(a | b)):
+        if x * e > MAX_SYMBOL_EXPONENT:
+            raise ExponentLimitExceeded(name)
+    return {a * e: _gpow(c, e)}, {b * e: _gpow(d, e)}
 
 
 def _power(one, base, e: int):
@@ -711,6 +717,115 @@ def _dot(table: SymbolTable, pairs) -> Scalar:
         shift = top - m  # no field borrows: top is m's fieldwise maximum
         _pmul({e + shift: _gmul(c, h) for e, c in anum.items()}, bnum, num)
     return Scalar(table, num, {top: (lcm, 0)})
+
+
+class _Laurent:
+    """num/(d*x^b) for a positive int d: a value the parser builds before
+    it is canonicalised.
+
+    Sums, products and quotients by one term stay Laurent values, and so
+    do powers of a unit term (a unit times a monomial, over one), which
+    never grow; any other operand or quotient makes both operands
+    canonical Scalars and takes Scalar arithmetic, in the order written.
+    Each result passes the exponent bound as its stored form would: when
+    its raw keys pass it, the shifted ones do, and otherwise the value is
+    shifted to its stored keys and checked, so a raw field stays below
+    2^41.
+    """
+
+    __slots__ = ("table", "num", "b", "d")
+
+    def __init__(self, table: SymbolTable, num: dict, b: int = 0, d: int = 1):
+        if reduce(or_, num, b) & table._guard:
+            lo = _fields(table._masks, [*num, b], min)
+            num = {e - lo: c for e, c in num.items()}
+            b -= lo
+            table._check(reduce(or_, num, b))
+        self.table, self.num, self.b, self.d = table, num, b, d
+
+    @staticmethod
+    def symbol(table: SymbolTable, name: str) -> "_Laurent":
+        return _Laurent(table, {1 << table._shifts[table.index(name)]: (1, 0)})
+
+    def scalar(self) -> Scalar:
+        return Scalar(self.table, self.num, {self.b: (self.d, 0)})
+
+    def is_unit_term(self) -> bool:
+        return self.d == 1 and len(self.num) == 1 and next(iter(self.num.values())) in _UNITS
+
+    def unit_power(self, e: int) -> "_Laurent":
+        """A unit term to the power e, from its stored keys as Scalar.__pow__ takes it."""
+        (k, c), = self.num.items()
+        b = self.b
+        if k and b:
+            lo = _fields(self.table._masks, (k, b), min)
+            k, b = k - lo, b - lo
+        if e < 0:
+            # 1/c = conj(c) for a unit c
+            k, b, c, e = b, k, (c[0], -c[1]), -e
+        num, den = _term_power(self.table, {k: c}, {b: (1, 0)}, e)
+        (b, _), = den.items()
+        return _Laurent(self.table, num, b)
+
+    def __neg__(self):
+        return _Laurent(self.table, _pneg(self.num), self.b, self.d)
+
+    def __add__(self, o):
+        if type(o) is not _Laurent:
+            return self.scalar() + o
+        pa, pb, b, d = self.num, o.num, self.b, self.d
+        if b != o.b:
+            top = _fields(self.table._masks, (b, o.b), max)
+            pa = {e + top - b: c for e, c in pa.items()}
+            pb = {e + top - o.b: c for e, c in pb.items()}
+            b = top
+        if d != o.d:
+            d = math.lcm(d, o.d)
+            sa, sb = d // self.d, d // o.d
+            pa = {e: (r * sa, i * sa) for e, (r, i) in pa.items()} if sa != 1 else pa
+            pb = {e: (r * sb, i * sb) for e, (r, i) in pb.items()} if sb != 1 else pb
+        return _Laurent(self.table, _padd(pa, pb), b, d)
+
+    def __sub__(self, o):
+        return self + -o if type(o) is _Laurent else self.scalar() - o
+
+    def __mul__(self, o):
+        if type(o) is not _Laurent:
+            return self.scalar() * o
+        pa, pb = (self.num, o.num) if len(self.num) >= len(o.num) else (o.num, self.num)
+        return _Laurent(self.table, _pmul(pa, pb), self.b + o.b, self.d * o.d)
+
+    def __truediv__(self, o):
+        if type(o) is not _Laurent or len(o.num) != 1:
+            # a quotient by a sum or by zero
+            return self.scalar() / (o.scalar() if type(o) is _Laurent else o)
+        # times d*x^b*conj(c) / (|c|^2*x^k), for o = c*x^k / (d*x^b)
+        (k, (cr, ci)), = o.num.items()
+        h = (cr * o.d, -ci * o.d)
+        num = {e + o.b: _gmul(c, h) for e, c in self.num.items()}
+        return _Laurent(self.table, num, self.b + k, self.d * (cr * cr + ci * ci))
+
+    def __radd__(self, s):
+        return s + self.scalar()
+
+    def __rsub__(self, s):
+        return s - self.scalar()
+
+    def __rmul__(self, s):
+        return s * self.scalar()
+
+    def __rtruediv__(self, s):
+        return s / self.scalar()
+
+
+def _laurent(s: Scalar):
+    """s as a _Laurent value when its denominator is one term, else s."""
+    if len(s.den) != 1:
+        return s
+    (b, (dr, di)), = s.den.items()
+    if di:
+        return _Laurent(s.table, _pscale(s.num, (dr, -di), 1), b, dr * dr + di * di)
+    return _Laurent(s.table, s.num, b, dr)
 
 
 def sqrt_scalar(value: Scalar) -> Optional[Scalar]:

@@ -3,8 +3,8 @@
 reference_parse is the parser as it stood before it assembled Laurent
 values: every token becomes a canonical Scalar and every operator one
 Scalar operation, in reading order.  It shares the tokenizer, the
-cursor and the exponent reader, which did not change.  parse must store
-the same dicts, or raise the same exception with the same message.
+cursor and the exponent reader.  parse must store the same dicts, or
+raise the same exception with the same message.
 """
 
 import math
@@ -19,7 +19,7 @@ from braidbax.scalar import _ratio_str
 
 
 def reference_parse(text, table):
-    cur = _Cursor(_tokenize(text), table)
+    cur = _Cursor(_tokenize(text))
     value = _ref_expr(cur, table)
     kind, _, pos = cur.current()
     if kind != "end":
@@ -107,7 +107,7 @@ def _outcome(read, text, table):
     return value.num, value.den
 
 
-# 2^39 and 2^40 - 1: the edge of the parser's quick exponent test and the bound
+# 2^40 - 1 is the bound; sums and products of 2^39 reach it
 _HALF, _TOP = 1 << 39, (1 << 40) - 1
 _EXPONENTS = ["0", "1", "2", "3", "-1", "-2", "(-3)", "(2)", "1001"]
 _HUGE_EXPONENTS = ["99999999999", str(_HALF), str(_HALF - 1), str(_TOP), f"-{_TOP}",
