@@ -61,8 +61,8 @@ one-term value is powered by scaling its exponents, a matrix entry
 whose factors all have one-term denominators is summed over one common
 denominator and canonicalised once (_dot), and the parser assembles a
 value over one-term denominators (_Laurent) before it canonicalises it
-once.
-_canonical stays the general route, the reference for the direct ones.
+once.  _canonical stays the general route, the reference for the
+direct ones.
 
 The univariate gcd stays in Z[i][t]: a primitive remainder sequence
 (Collins 1967, Brown 1971) takes each pseudo-remainder's primitive part,

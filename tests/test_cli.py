@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 
@@ -583,7 +584,8 @@ def test_one_process_answers_each_call_as_a_fresh_parser_does(capsys):
     def outcome(argv):
         code = main(argv)
         captured = capsys.readouterr()
-        return code, captured.out, captured.err
+        # a section's elapsed time is the one field two runs may differ in
+        return code, re.sub(r'"elapsed": [0-9.e-]+', '"elapsed": 0', captured.out), captured.err
 
     kept = [outcome(argv) for argv in calls]
     fresh = []

@@ -166,6 +166,7 @@ def test_parse_routes_agree_on_chosen_texts():
         f"x^{_TOP}*x", f"x^{_TOP}*x/x", f"x^-1*x^{_TOP}*x", f"x^{_TOP} + x^-1",
         f"x^{_HALF}*x^{_HALF}", f"x^{_HALF} + x^-{_HALF - 1}", f"x^{_HALF} + x^-{_HALF}",
         f"(x^{_HALF}*y)^2", f"(y/x)^{_TOP}", f"(2*x^-3)^-{_HALF}",
+        f"(x*x^-1)^{_TOP + 1}", f"(x^2/x^2*y)^{_HALF}", f"(x^2/x^2*y)^-{_TOP + 1}",
         "(2/2)^99999999999", "(2*i/(1 + i))^7/(2*x)^-5", "((1+i)*x/(2*y))^-3",
         "(x + 1)^1000", "(x^-1 + y^-1)^500", "(x^-1 + y^-1)^501",
         "(x^99999999999 + 1)/(x + 1)", f"x^{_TOP + 1}", f"(x^-1 + 1)^{_TOP + 1}",
