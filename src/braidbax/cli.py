@@ -38,11 +38,11 @@ from .ncplane import (
     s14_plane,
 )
 from .parser import MAX_EXPONENT, ParseError, parse
-from .scalar import (DegreeLimitExceeded, ExponentLimitExceeded, PoleError, PrintLimitExceeded,
-                     SymbolTable, UnknownSymbol)
+from .scalar import LIMIT_ERRORS, PoleError, SymbolTable, UnknownSymbol
 from .spectral import (
     IrreducibleOverSearchSpace,
     RepeatedRoots,
+    _recompose,
     find_roots,
     lagrange_projectors,
 )
@@ -183,19 +183,19 @@ def _run_analyze(args) -> Verb:
     try:
         roots = find_roots(poly)
     except IrreducibleOverSearchSpace as exc:
-        raise InputError(
-            f"spectrum not found: no searched root annihilates {exc.poly}"
-        ) from exc
+        raise InputError("spectrum not found: no searched root annihilates "
+                         + _excerpt(str(exc.poly), str)) from exc
     try:
         ps = lagrange_projectors(matrix, roots)
     except (RepeatedRoots, ValueError) as exc:
-        raise InputError(f"matrix is not diagonalisable this way: {exc}") from exc
+        raise InputError("matrix is not diagonalisable this way: "
+                         + _excerpt(str(exc), str)) from exc
 
-    count = len(ps.items)
+    count = len(ps)
     resolution = f"spectral resolution into {count} orthogonal idempotent{'s' if count != 1 else ''}"
     checks = [
         ("projectors", lambda: resolution),
-        _claim("spectral-recompose", lambda: ps.recompose() == matrix,
+        _claim("spectral-recompose", lambda: _recompose(matrix, ps) == matrix,
                "eigenvalue-weighted projector sum restores the matrix"),
     ]
     if matrix.n == 4:
@@ -209,10 +209,10 @@ def _run_analyze(args) -> Verb:
             "published-data",
             lambda: (
                 poly == case.min_poly
-                and len(ps.items) == len(case.pairing)
+                and len(ps) == len(case.pairing)
                 and all(
                     eig == want and proj == case.projectors[label]
-                    for (eig, proj), (want, label) in zip(ps.items, case.pairing)
+                    for (eig, proj), (want, label) in zip(ps, case.pairing)
                 )
             ),
             "minimal polynomial, eigenvalue order, and parameter-free projectors match the case constants",
@@ -222,10 +222,10 @@ def _run_analyze(args) -> Verb:
         "target": args.target,
         "matrix": matrix_to_obj(matrix),
         "minimal_polynomial": str(poly),
-        "eigenvalues": [str(eig) for eig, _ in ps.items],
+        "eigenvalues": [str(eig) for eig, _ in ps],
         "projectors": [
             {"eigenvalue": str(eig), "matrix": matrix_to_obj(proj)}
-            for eig, proj in ps.items
+            for eig, proj in ps
         ],
     }
     header = [f"analyze {args.target}", "matrix:", *_matrix_lines(fields["matrix"])]
@@ -477,7 +477,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    except (InputError, PrintLimitExceeded, ExponentLimitExceeded, DegreeLimitExceeded) as exc:
+    except (InputError, *LIMIT_ERRORS) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
     return 0 if report.holds else 1

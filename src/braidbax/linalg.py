@@ -1,12 +1,13 @@
 """Dense exact matrix algebra over symbolic scalars.
 
 SquareMatrix is immutable and stores every entry as a Scalar over one
-shared SymbolTable.  Products skip exactly-zero entries, which keeps the
-8x8 symbolic residual computations elsewhere in this package fast.  The
-module also houses the built-in 4x4 matrices the rest of the package
-analyzes, a univariate polynomial type for minimal polynomials (printed
-in t through the scalar layer's term printer), and a bit-exact JSON form
-for matrices.
+shared SymbolTable; it has the operations the package uses and no more.
+Products skip exactly-zero entries, which keeps the 8x8 symbolic residual
+computations elsewhere in this package fast.  The module also houses the
+built-in 4x4 matrices the rest of the package analyzes, a univariate
+polynomial type for minimal polynomials (printed in t through the scalar
+layer's term printer, and found by a Krylov search over one row per
+power), and a bit-exact JSON form for matrices.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _dot, _join_terms, _power, _signed_term
+from .scalar import Scalar, SymbolTable, _dot, _join_terms, _signed_term
 
 __all__ = [
     "DimensionMismatch",
@@ -79,8 +80,6 @@ class SquareMatrix:
         return all(a == b for ra, rb in zip(self.rows, other.rows)
                    for a, b in zip(ra, rb))
 
-    __hash__ = None
-
     def __str__(self):
         return "\n".join("[" + ", ".join(str(e) for e in row) + "]"
                          for row in self.rows)
@@ -112,9 +111,6 @@ class SquareMatrix:
         self._same_shape(other)
         return SquareMatrix(self.table, [[a - b for a, b in zip(ra, rb)]
                                          for ra, rb in zip(self.rows, other.rows)])
-
-    def __neg__(self):
-        return SquareMatrix(self.table, [[-e for e in row] for row in self.rows])
 
     def _scale(self, factor: Scalar) -> "SquareMatrix":
         return SquareMatrix(self.table, [[factor * e if e else e for e in row]
@@ -152,16 +148,6 @@ class SquareMatrix:
             return self.table.scalar(value)
         except TypeError:
             return None
-
-    def __pow__(self, e: int):
-        if not isinstance(e, int) or isinstance(e, bool):
-            return NotImplemented
-        if e < 0:
-            return self.inverse() ** (-e)
-        return _power(SquareMatrix.identity(self.table, self.n), self, e)
-
-    def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(self.table, list(zip(*self.rows)))
 
     def dagger(self) -> "SquareMatrix":
         """Conjugate transpose; symbols are treated as real."""
@@ -271,8 +257,6 @@ class UnivariatePoly:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    __hash__ = None
-
     def eval_scalar(self, x: Scalar) -> Scalar:
         total = self.table.zero()
         for c in reversed(self.coeffs):
@@ -292,48 +276,45 @@ def minimal_polynomial(a: SquareMatrix) -> UnivariatePoly:
     """Monic least-degree polynomial with p(a) = 0.
 
     Krylov search: flatten I, a, a^2, ... and stop at the first exact
-    linear dependency, tracking how each reduced vector is written in
-    terms of the powers.
+    linear dependency.  A row holds a reduced flat vector, then how it is
+    written in terms of the powers; each new power pads every basis row
+    with its zero coefficient, so all rows have one length.
     """
     table = a.table
     zero = table.zero()
-    basis: List[list] = []  # [pivot, reduced flat vector, combo over powers]
+    size = a.n * a.n
+    basis: List[list] = []  # [pivot, reduced row]
     power = SquareMatrix.identity(table, a.n)
     k = 0
     while True:
-        vec = [e for row in power.rows for e in row]
-        combo = [zero] * (k + 1)
-        combo[k] = table.one()
-        for pivot, bvec, bcombo in basis:
-            f = vec[pivot]
+        for pair in basis:
+            pair[1].append(zero)
+        row = [e for r in power.rows for e in r] + [zero] * k + [table.one()]
+        for pivot, brow in basis:
+            f = row[pivot]
             if not f.is_zero():
-                vec = [x - f * y for x, y in zip(vec, bvec)]
-                padded = list(bcombo) + [zero] * (len(combo) - len(bcombo))
-                combo = [x - f * y for x, y in zip(combo, padded)]
-        if all(x.is_zero() for x in vec):
-            return UnivariatePoly(table, combo)
-        pivot = next(idx for idx, x in enumerate(vec) if not x.is_zero())
-        lead = vec[pivot]
-        vec = [x / lead for x in vec]
-        combo = [x / lead for x in combo]
-        for trip in basis:
-            g = trip[1][pivot]
+                row = [x - f * y for x, y in zip(row, brow)]
+        pivot = next((idx for idx, x in enumerate(row[:size]) if not x.is_zero()), None)
+        if pivot is None:
+            return UnivariatePoly(table, row[size:])
+        lead = row[pivot]
+        row = [x / lead for x in row]
+        for pair in basis:
+            g = pair[1][pivot]
             if not g.is_zero():
-                trip[1] = [x - g * y for x, y in zip(trip[1], vec)]
-                padded = list(trip[2]) + [zero] * (len(combo) - len(trip[2]))
-                trip[2] = [x - g * y for x, y in zip(padded, combo)]
-        basis.append([pivot, vec, combo])
+                pair[1] = [x - g * y for x, y in zip(pair[1], row)]
+        basis.append([pivot, row])
         power = power * a
         k += 1
-        if k > a.n * a.n + 1:
+        if k > size + 1:
             raise AssertionError("no dependency found; exact arithmetic bug")
 
 
 # -- built-in matrices -------------------------------------------------------
 
 
-# Entries are ints, or names resolved against the table when the matrix
-# is built: the grids without a name never touch q or i.
+# Entries are ints, or expressions parsed over the table when the matrix
+# is built: the grids without one never touch q or i.
 _BUILTIN_GRIDS = {
     "s03_r": ((1, 0, 0, 1),
               (0, 1, 1, 0),
@@ -357,12 +338,6 @@ _BUILTIN_GRIDS = {
                            ("i", 0, 0, 1)),
 }
 
-_BUILTIN_NAMES = {
-    "q": lambda table: table.symbol("q"),
-    "i": lambda table: table.i(),
-    "-i": lambda table: -table.i(),
-}
-
 
 def builtin(name: str, table: SymbolTable) -> SquareMatrix:
     """One of the package's built-in 4x4 matrices, by case-insensitive name.
@@ -375,7 +350,7 @@ def builtin(name: str, table: SymbolTable) -> SquareMatrix:
     grid = _BUILTIN_GRIDS.get(name.lower())
     if grid is None:
         raise ValueError(f"unknown builtin matrix {name!r}")
-    return SquareMatrix(table, [[_BUILTIN_NAMES[e](table) if isinstance(e, str) else e
+    return SquareMatrix(table, [[parse(e, table) if isinstance(e, str) else e
                                  for e in row] for row in grid])
 
 

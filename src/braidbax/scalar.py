@@ -131,6 +131,10 @@ class DegreeLimitExceeded(OverflowError):
                          f"{MAX_GCD_DEGREE}")
 
 
+# an input past a bound above: an input error wherever it is reached, never a failed check
+LIMIT_ERRORS = (PrintLimitExceeded, ExponentLimitExceeded, DegreeLimitExceeded)
+
+
 class SymbolTable:
     """An ordered set of commuting symbol names shared by related scalars.
 
@@ -632,8 +636,16 @@ class Scalar:
             num, den, e = den, num, -e
         if len(num) == 1 and len(den) == 1:
             return Scalar(self.table, *_term_power(self.table, num, den, e))
+        # square and multiply
         base = self if num is self.num else Scalar(self.table, num, den)
-        return _power(self.table.one(), base, e)
+        out = self.table.one()
+        while e:
+            if e & 1:
+                out = out * base
+            e >>= 1
+            if e:
+                base = base * base
+        return out
 
     def conjugate(self) -> "Scalar":
         return Scalar(self.table, _pconj(self.num), _pconj(self.den))
@@ -672,18 +684,6 @@ def _term_power(table, num, den, e: int):
         if x * e > MAX_SYMBOL_EXPONENT:
             raise ExponentLimitExceeded(name)
     return {a * e: _gpow(c, e)}, {b * e: _gpow(d, e)}
-
-
-def _power(one, base, e: int):
-    """base ** e for e >= 0 by square and multiply, starting from one."""
-    out = one
-    while e:
-        if e & 1:
-            out = out * base
-        e >>= 1
-        if e:
-            base = base * base
-    return out
 
 
 def _dot(table: SymbolTable, pairs) -> Scalar:

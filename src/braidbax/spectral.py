@@ -6,6 +6,9 @@ formula once the polynomial is driven down to degree two.  That covers
 every matrix this package ships and every 4x4 input whose spectrum
 lives in Q(i) adjoined with monomials; anything else raises
 IrreducibleOverSearchSpace rather than guessing.
+
+lagrange_projectors returns the checked resolution as a plain tuple of
+(eigenvalue, projector) pairs in root order.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .scalar import Scalar, sqrt_scalar
 __all__ = [
     "IrreducibleOverSearchSpace",
     "NotDiagonal",
-    "ProjectorSet",
     "RepeatedRoots",
     "check_diagonalizer",
     "find_roots",
@@ -120,30 +122,16 @@ def _deflate(poly: UnivariatePoly, root: Scalar) -> UnivariatePoly:
     return UnivariatePoly(poly.table, reversed(quo))
 
 
-class ProjectorSet:
-    """A matrix together with its resolution into spectral projectors."""
-
-    __slots__ = ("base", "items")
-
-    def __init__(self, base: SquareMatrix, items: Sequence[Tuple[Scalar, SquareMatrix]]):
-        self.base = base
-        self.items = tuple(items)
-
-    def identity_sum(self) -> SquareMatrix:
-        total = SquareMatrix.zeros(self.base.table, self.base.n)
-        for _, proj in self.items:
-            total = total + proj
-        return total
-
-    def recompose(self) -> SquareMatrix:
-        total = SquareMatrix.zeros(self.base.table, self.base.n)
-        for eig, proj in self.items:
-            total = total + eig * proj
-        return total
+def _recompose(a: SquareMatrix, pairs: Sequence[Tuple[Scalar, SquareMatrix]]) -> SquareMatrix:
+    """The sum of eigenvalue * projector over the pairs of a, in pair order."""
+    return sum((eig * proj for eig, proj in pairs), SquareMatrix.zeros(a.table, a.n))
 
 
-def lagrange_projectors(a: SquareMatrix, roots: Sequence[Scalar]) -> ProjectorSet:
-    """Spectral projectors P_k = prod_{j != k} (a - r_j I)/(r_k - r_j).
+def lagrange_projectors(
+    a: SquareMatrix, roots: Sequence[Scalar]
+) -> Tuple[Tuple[Scalar, SquareMatrix], ...]:
+    """The (eigenvalue, projector) pairs of a, in root order, with
+    P_k = prod_{j != k} (a - r_j I)/(r_k - r_j).
 
     The roots must be pairwise distinct and the product of (a - r I)
     over all of them must vanish; both are verified, as are the
@@ -163,7 +151,7 @@ def lagrange_projectors(a: SquareMatrix, roots: Sequence[Scalar]) -> ProjectorSe
     if not annihilate.is_zero():
         raise ValueError("the given roots do not annihilate the matrix")
 
-    items = []
+    pairs = []
     for k, rk in enumerate(rl):
         num = eye
         den = table.one()
@@ -171,20 +159,19 @@ def lagrange_projectors(a: SquareMatrix, roots: Sequence[Scalar]) -> ProjectorSe
             if j != k:
                 num = num * (a - rj * eye)
                 den = den * (rk - rj)
-        items.append((rk, (table.one() / den) * num))
-    ps = ProjectorSet(a, items)
+        pairs.append((rk, (table.one() / den) * num))
 
     zero_m = SquareMatrix.zeros(table, a.n)
-    for i, (_, pi) in enumerate(ps.items):
-        for j, (_, pj) in enumerate(ps.items):
+    for i, (_, pi) in enumerate(pairs):
+        for j, (_, pj) in enumerate(pairs):
             want = pi if i == j else zero_m
             if pi * pj != want:
                 raise ValueError("projector orthogonality failed; roots are not the full spectrum")
-    if ps.identity_sum() != eye:
+    if sum((proj for _, proj in pairs), zero_m) != eye:
         raise ValueError("projectors do not resolve the identity")
-    if ps.recompose() != a:
+    if _recompose(a, pairs) != a:
         raise ValueError("spectral recomposition does not restore the matrix")
-    return ps
+    return tuple(pairs)
 
 
 def check_diagonalizer(d: SquareMatrix, a: SquareMatrix) -> SquareMatrix:

@@ -3,9 +3,13 @@
 A check is a (name, run) pair: run() returns its detail text or raises
 CheckFailed.  run_checks times each check and turns it into a Section,
 so a regression anywhere in the package surfaces as a named failure
-rather than a stack trace.  A Report renders the sections as text or
-JSON; the CLI verbs and run_all share both.  run_all executes nine
-independent sections, each building its own symbol tables.
+rather than a stack trace; an error of scalar.LIMIT_ERRORS (an input
+past a scalar bound, not a failed check) propagates instead.  No
+built-in reaches a limit: a run_all task that did would read "ended
+without a result" in a forked child, and end the run in the process
+itself.  A Report renders the sections as text or JSON; the CLI verbs
+and run_all share both.  run_all executes nine independent sections,
+each building its own symbol tables.
 
 Both projector suites take one spectral path: lagrange_projectors over
 the roots of the minimal polynomial (it checks idempotence, orthogonality,
@@ -63,7 +67,7 @@ from .ncplane import (
     s14_plane,
 )
 from .parser import parse
-from .scalar import Scalar, SymbolTable
+from .scalar import LIMIT_ERRORS, Scalar, SymbolTable
 from .spectral import check_diagonalizer, find_roots, lagrange_projectors
 from .funceq import (
     a_eval_general,
@@ -125,9 +129,11 @@ def _failure_text(exc: Exception) -> str:
 
 
 def _outcome(run: Callable[[], str]) -> Tuple[bool, str]:
-    """Whether a check holds, with its detail text."""
+    """Whether a check holds, with its detail text; a limit error propagates."""
     try:
         return True, run()
+    except LIMIT_ERRORS:
+        raise
     except Exception as exc:
         return False, _failure_text(exc)
 
@@ -153,12 +159,6 @@ class Report:
     @property
     def holds(self) -> bool:
         return all(section.holds for section in self.sections)
-
-    def section(self, name: str) -> Section:
-        for section in self.sections:
-            if section.name == name:
-                return section
-        raise KeyError(name)
 
     def to_obj(self) -> dict:
         return {
@@ -223,9 +223,9 @@ def _sec_projector_suites(fault: Optional[str]) -> str:
         case = builtin_case(name)
         rhat = _braid_for(name, case.table, fault)
         ps = lagrange_projectors(rhat, find_roots(minimal_polynomial(rhat)))
-        _check(len(ps.items) == len(case.pairing),
-               f"expected {count} projectors, found {len(ps.items)}")
-        for (eig, proj), (want_eig, label) in zip(ps.items, case.pairing):
+        _check(len(ps) == len(case.pairing),
+               f"expected {count} projectors, found {len(ps)}")
+        for (eig, proj), (want_eig, label) in zip(ps, case.pairing):
             _check(eig == want_eig, f"eigenvalue order drifted: {eig} vs {want_eig}")
             _check(proj == case.projectors[label],
                    f"{ordinal}-case projector {label!r} differs from its parameter-free constant")

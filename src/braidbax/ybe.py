@@ -65,25 +65,13 @@ def _triple(a: tuple, b: tuple, c: tuple) -> SquareMatrix:
     return a12 * b23 * c12 - c23 * b12 * a23
 
 
-def _triple_residual(a: SquareMatrix, b: SquareMatrix, c: SquareMatrix) -> SquareMatrix:
-    """_triple of three 4x4 matrices, a repeated matrix embedded once."""
-    embedded = {}
-    for m in (a, b, c):
-        if id(m) not in embedded:
-            embedded[id(m)] = _embed(m)
-    return _triple(*(embedded[id(m)] for m in (a, b, c)))
-
-
 def braid_ybe_residual(b: SquareMatrix) -> SquareMatrix:
     """B12 B23 B12 - B23 B12 B23; zero exactly for braid-relation matrices."""
-    return _triple_residual(b, b, b)
+    pair = _embed(b)
+    return _triple(pair, pair, pair)
 
 
 # ---------------------------------------------------------------- s03 family
-
-
-def _s03_rhat(table: SymbolTable) -> SquareMatrix:
-    return braid(builtin("s03_r", table))
 
 
 def s03_pybe_residual(
@@ -97,7 +85,7 @@ def s03_pybe_residual(
     """
     cx, cy, cxy = c_eval(p, x), c_eval(p, y), c_eval(p, x * y)
     if rhat is None:
-        rhat = _s03_rhat(x.table)
+        rhat = braid(builtin("s03_r", x.table))
     return _unit_residual(rhat, cx, cy, cxy)
 
 
@@ -109,7 +97,7 @@ def _unit_residual(b: SquareMatrix, cx: Scalar, cy: Scalar, cxy: Scalar) -> Squa
     it vanishes exactly on that composition law; alpha = 2 for s03.
     """
     eye = SquareMatrix.identity(b.table, b.n)
-    return _triple_residual(eye + cx * b, eye + cxy * b, eye + cy * b)
+    return _triple(*map(_embed, (eye + cx * b, eye + cxy * b, eye + cy * b)))
 
 
 def power_reduction_residual(
@@ -129,10 +117,8 @@ def power_reduction_residual(
     return _unit_residual(b, cx, cy, cxy) - collapsed
 
 
-def s03_reduction_residual(
-    cx: Scalar, cy: Scalar, cxy: Scalar, rhat: Optional[SquareMatrix] = None
-) -> SquareMatrix:
-    """Full collapse for the s03 braid matrix.
+def s03_reduction_residual(cx: Scalar, cy: Scalar, cxy: Scalar, rhat: SquareMatrix) -> SquareMatrix:
+    """Full collapse for rhat, the s03 braid matrix.
 
     Its square satisfies Rhat^2 = 2(Rhat - I), which merges the two
     first-stage terms into
@@ -141,8 +127,6 @@ def s03_reduction_residual(
 
     so the residual vanishes exactly on the composition law.
     """
-    if rhat is None:
-        rhat = _s03_rhat(cx.table)
     b12, b23 = _embed(rhat)
     law = cx + cy + 2 * cx * cy - cxy
     return _unit_residual(rhat, cx, cy, cxy) - law * (b12 - b23)
@@ -186,7 +170,8 @@ def s14_pybe_residual(
     Zero whenever each pair sums to -2, with the pairs otherwise
     independent.
     """
-    return _triple_residual(*(s14_member(v, w, plus) for v, w in (first, middle, last)))
+    members = [s14_member(v, w, plus) for v, w in (first, middle, last)]
+    return _triple(*map(_embed, members))
 
 
 class TensorOps:

@@ -60,6 +60,17 @@ def to_sympy(value):
     return parse_expr(str(value).replace("^", "**").replace("i", "I"), local_dict=names)
 
 
+def transpose(m):
+    """The transpose of a matrix."""
+    return SquareMatrix(m.table, list(zip(*m.rows)))
+
+
+def find_section(report, name):
+    """The one section of a report with the given name; ValueError unless there is one."""
+    (found,) = [s for s in report.sections if s.name == name]
+    return found
+
+
 def expansion_by_plan(tops, first, middle, last):
     """The sum of sign * w_a * w'_b * w''_c * basis[name] over ybe._ENTRIES.
 

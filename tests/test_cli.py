@@ -350,6 +350,36 @@ def test_analyze_file_power_beyond_the_limit_is_an_input_error(tmp_path, capsys)
         "total degree 1001, beyond the limit 1000 (at position 6)"]
 
 
+def test_a_limit_reached_inside_a_check_is_an_input_error(tmp_path, capsys):
+    # the spectrum stays under the exponent bound; the braid residual's
+    # triple products pass it, inside the constant-ybe check
+    big = "x^659706976666"
+    target = _write_matrix(tmp_path / "limit.json", 4, ["x"], [
+        ["0", big, "0", "0"], ["1", "0", "0", "0"], ["0", "0", "0", big], ["0", "0", "1", "0"]])
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "input error: exponent of x beyond the limit 1099511627775"]
+
+
+@pytest.mark.parametrize("entries, prefix", [
+    # the minimal polynomial t^2 - (a+1)^300 has 22 KB of text
+    ([["0", "(a+1)^300"], ["1", "0"]], "spectrum not found: no searched root annihilates "),
+    # a Jordan block repeats a long eigenvalue
+    ([["(a+1)^40", "1"], ["0", "(a+1)^40"]], "matrix is not diagonalisable this way: "),
+])
+def test_a_long_value_in_an_analyze_message_is_quoted_in_part(entries, prefix, tmp_path, capsys):
+    target = _write_matrix(tmp_path / "long.json", 2, ["a"], entries)
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("input error: " + prefix)
+    assert re.search(r"\.\.\. \(\d+ characters\)$", line)
+    assert len(captured.err.encode()) < 400
+
+
 def test_exponents_beyond_the_key_bound_are_input_errors(capsys):
     # a one-term power scales its exponents, each up to 2^40 - 1
     assert main(["ncplane", "s03", "--c=a^99999999999"]) == 0

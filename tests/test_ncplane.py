@@ -97,7 +97,7 @@ def test_s03_plane_at_one_swaps_generators():
 def test_s03_plane_degenerates_at_zero():
     rel = s03_plane(T.zero())
     assert rel.differentials == ()
-    assert rel.mixed == -SquareMatrix.identity(T, 4)
+    assert rel.mixed == (-1) * SquareMatrix.identity(T, 4)
     assert rel.lines()[2] == "x1*xi1 = -xi1*x1"
 
 

@@ -20,8 +20,8 @@ from braidbax import (
     minimal_polynomial,
 )
 from braidbax.linalg import _row_space
-from braidbax.spectral import _deflate
-from conftest import TABLE, scalars
+from braidbax.spectral import _deflate, _recompose
+from conftest import TABLE, scalars, transpose
 
 QT = SymbolTable(["q"])
 Q = QT.symbol("q")
@@ -80,16 +80,17 @@ def test_deflate_returns_the_quotient(names, data):
 def test_lagrange_projectors_resolve_both_cases():
     rhat = braid(builtin("s03_r", SymbolTable([])))
     ps = lagrange_projectors(rhat, find_roots(minimal_polynomial(rhat)))
-    assert len(ps.items) == 2
-    assert ps.identity_sum() == SquareMatrix.identity(rhat.table, 4)
-    assert ps.recompose() == rhat
+    assert len(ps) == 2
+    assert sum((proj for _, proj in ps), SquareMatrix.zeros(rhat.table, 4)) == \
+        SquareMatrix.identity(rhat.table, 4)
+    assert _recompose(rhat, ps) == rhat
 
     rhat = braid(builtin("s14_r", QT))
     ps = lagrange_projectors(rhat, find_roots(minimal_polynomial(rhat)))
-    assert len(ps.items) == 3
-    for _, proj in ps.items:
+    assert len(ps) == 3
+    for _, proj in ps:
         assert proj * proj == proj
-    assert ps.recompose() == rhat
+    assert _recompose(rhat, ps) == rhat
 
 
 def test_lagrange_rejects_bad_roots():
@@ -106,8 +107,8 @@ def test_eigenvectors_have_their_eigenvalues():
     rhat = braid(builtin("s14_r", QT))
     ps = lagrange_projectors(rhat, find_roots(minimal_polynomial(rhat)))
     seen = 0
-    for eig, proj in ps.items:
-        vectors = _row_space(proj.transpose())
+    for eig, proj in ps:
+        vectors = _row_space(transpose(proj))
         assert vectors
         for vec in vectors:
             image = [

@@ -17,7 +17,7 @@ from braidbax.verify import (
     _random_scalar,
 )
 
-from conftest import count_difference_builds, golden, without_elapsed
+from conftest import count_difference_builds, golden, find_section, without_elapsed
 
 SECTION_ORDER = (
     "minimal-polynomials",
@@ -66,9 +66,9 @@ def test_report_serialization_shape(clean_report):
 
 
 def test_section_lookup(clean_report):
-    assert clean_report.section("plumbing").holds
-    with pytest.raises(KeyError):
-        clean_report.section("nonexistent")
+    assert find_section(clean_report, "plumbing").holds
+    with pytest.raises(ValueError):
+        find_section(clean_report, "nonexistent")
 
 
 def test_injected_fault_hits_exactly_the_dependent_sections():
@@ -85,7 +85,7 @@ def test_injected_fault_hits_exactly_the_dependent_sections():
     }
     # sections that never touch the perturbed matrix stay green
     for name in ("s03-baxterisation", "functional-equations", "plumbing"):
-        assert report.section(name).holds
+        assert find_section(report, name).holds
     # failures carry a human-readable reason
     for section in report.sections:
         if not section.holds:
@@ -123,7 +123,7 @@ def test_moved_claims_fail_the_sections_that_hold_them(monkeypatch):
 def test_s14_section_builds_each_letter_difference_once(monkeypatch):
     _, built = count_difference_builds(monkeypatch)
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-    assert run_all().section("s14-combinations").holds
+    assert find_section(run_all(), "s14-combinations").holds
     assert len(built) == 27
     assert sorted(built) == sorted(a + b + c for a in "ixy" for b in "ixy" for c in "ixy")
 
@@ -138,7 +138,7 @@ def test_projector_suites_take_the_spectral_path_for_both_cases(monkeypatch):
 
     monkeypatch.setattr(verify, "lagrange_projectors", recorder)
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-    section = run_all().section("projector-suites")
+    section = find_section(run_all(), "projector-suites")
     assert section.holds, section.detail
     assert seen == [builtin_case("s03").rhat, builtin_case("s14").rhat]
 
@@ -154,7 +154,7 @@ def _golden_projector_detail(fault):
 
 @pytest.mark.parametrize("fault", FAULT_TARGETS)
 def test_projector_suites_fail_under_each_fault_with_the_golden_detail(fault):
-    section = run_all(0, fault).section("projector-suites")
+    section = find_section(run_all(0, fault), "projector-suites")
     assert not section.holds
     assert section.detail == _golden_projector_detail(fault)
 
@@ -335,18 +335,18 @@ def test_a_section_that_raises_in_a_child_reads_as_in_one_process(monkeypatch):
 ])
 def test_a_failure_in_a_child_chunk_reads_as_in_one_chunk(fail, detail, monkeypatch):
     _fail_plumbing_at(monkeypatch, {777: fail})
-    section = _pool_report(monkeypatch, 1).section("plumbing")
+    section = find_section(_pool_report(monkeypatch, 1), "plumbing")
     assert (section.holds, section.detail) == (False, detail)
     _parent_waits_until(monkeypatch, 0)
     for workers in (2, 4):
-        section = _pool_report(monkeypatch, workers).section("plumbing")
+        section = find_section(_pool_report(monkeypatch, workers), "plumbing")
         assert (section.holds, section.detail) == (False, detail), workers
 
 
 def test_the_lowest_failing_case_wins_across_chunks(monkeypatch):
     _fail_plumbing_at(monkeypatch, {index: _check_failed for index in (950, 800, 300)})
     for workers in (1, 2, 4):
-        section = _pool_report(monkeypatch, workers).section("plumbing")
+        section = find_section(_pool_report(monkeypatch, workers), "plumbing")
         assert (section.holds, section.detail) == (False, "commutativity failed on case 300")
 
 
@@ -362,7 +362,7 @@ def test_a_child_that_exits_without_a_result_fails_the_section(monkeypatch):
     _parent_waits_until(monkeypatch, len(SECTION_ORDER) - 1)
     report = _pool_report(monkeypatch, 2)
     assert [s.name for s in report.sections if not s.holds] == ["plumbing"]
-    section = report.section("plumbing")
+    section = find_section(report, "plumbing")
     assert section.detail == "plumbing cases 0..499 ended without a result (exit status 3)"
 
 
