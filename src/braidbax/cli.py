@@ -134,8 +134,14 @@ def _load_matrix(path: str) -> SquareMatrix:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     try:
         matrix = matrix_from_obj(obj)
-    except (KeyError, TypeError, ValueError, ParseError, UnknownSymbol, PoleError) as exc:
+    except UnknownSymbol as exc:
+        raise InputError(f"{path} does not describe a matrix: "
+                         f"unknown symbol {_excerpt(str(exc))}") from exc
+    except (ParseError, PoleError) as exc:
         raise InputError(f"{path} does not describe a matrix: {exc}") from exc
+    except (KeyError, TypeError, ValueError) as exc:  # a reason that may quote a symbol name
+        raise InputError(f"{path} does not describe a matrix: "
+                         + _excerpt(str(exc), str)) from exc
     if "t" in matrix.table.names:
         # the minimal polynomial prints in t, where a matrix symbol t would be ambiguous
         raise InputError(f"{path} does not describe a matrix: "

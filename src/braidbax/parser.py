@@ -16,16 +16,15 @@ must be declared by the symbol table.  Everything str(Scalar) emits
 parses back to an identical stored value.
 
 Values are assembled, not canonicalised token by token.  Every atom is
-read as a scalar._Laurent value, a numerator over one term not yet
-canonicalised; sums, products and quotients by one term of such values
-stay Laurent values, and the text's value is canonicalised once, at the
-end.  A value whose denominator is one term has exactly one canonical
-form (see the scalar module), so this stores what step-by-step
-arithmetic stores.  A power of a unit times a monomial stays a Laurent
-value too.  A quotient by a sum or an operand that is a Scalar takes
-Scalar arithmetic in reading order, and any other power is taken of
-the canonical base as a Scalar; a result whose denominator is one term
-is read on as a Laurent value.
+read as a scalar._Laurent value, a numerator over d*x^b not yet
+canonicalised.  Sums over one monomial x^b, products, quotients by one
+term and non-negative powers of a unit times a monomial over one stay
+Laurent values, canonicalised once, at the end.  A value whose
+denominator is one term has exactly one canonical form (see the scalar
+module), so this stores what step-by-step arithmetic stores.  Anything
+else is Scalar arithmetic on canonical operands, in reading order, and
+the subexpression stays there: _apply is the one switch, where a
+Laurent operand that meets a Scalar is made canonical.
 
 Parentheses and unary minus nest at most MAX_DEPTH deep, which keeps
 the recursion far inside the interpreter's limit and far above the few
@@ -58,8 +57,9 @@ from __future__ import annotations
 import math
 import re
 import sys
+from operator import add, mul, sub, truediv
 
-from .scalar import Scalar, SymbolTable, _Laurent, _laurent
+from .scalar import Scalar, SymbolTable, _Laurent
 
 __all__ = ["ParseError", "parse"]
 
@@ -139,7 +139,18 @@ def parse(text: str, table: SymbolTable) -> Scalar:
     kind, _, pos = cur.current()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
+    return _scalar(value)
+
+
+def _scalar(value) -> Scalar:
     return value.scalar() if type(value) is _Laurent else value
+
+
+def _apply(op, lhs, rhs):
+    """op(lhs, rhs): Laurent arithmetic when both are Laurent values, else Scalar arithmetic."""
+    if type(lhs) is not _Laurent or type(rhs) is not _Laurent:
+        lhs, rhs = _scalar(lhs), _scalar(rhs)
+    return op(lhs, rhs)
 
 
 def _expr(cur: _Cursor, table: SymbolTable):
@@ -148,8 +159,7 @@ def _expr(cur: _Cursor, table: SymbolTable):
         op = cur.take_op("+", "-")
         if not op:
             return value
-        rhs = _term(cur, table)
-        value = value + rhs if op == "+" else value - rhs
+        value = _apply(add if op == "+" else sub, value, _term(cur, table))
 
 
 def _term(cur: _Cursor, table: SymbolTable):
@@ -158,8 +168,7 @@ def _term(cur: _Cursor, table: SymbolTable):
         op = cur.take_op("*", "/")
         if not op:
             return value
-        rhs = _unary(cur, table)
-        value = value * rhs if op == "*" else value / rhs
+        value = _apply(mul if op == "*" else truediv, value, _unary(cur, table))
 
 
 def _unary(cur: _Cursor, table: SymbolTable):
@@ -176,11 +185,10 @@ def _power(cur: _Cursor, table: SymbolTable):
     while cur.take_op("^"):
         pos = cur.current()[2]
         e = _exponent(cur)
-        if type(value) is _Laurent:
-            if value.is_unit_term():
-                value = value.unit_power(e)  # a unit times a monomial never grows
-                continue
-            value = value.scalar()
+        if type(value) is _Laurent and e >= 0 and value.is_unit_term():
+            value = value.unit_power(e)  # a unit times a monomial never grows
+            continue
+        value = _scalar(value)
         if len(value.num) > 1 or len(value.den) > 1:
             degree = abs(e) * max(sum(table._unpack(x)) for x in (*value.num, *value.den))
             if degree > MAX_EXPONENT:
@@ -195,7 +203,7 @@ def _power(cur: _Cursor, table: SymbolTable):
             if growth and abs(e) > limit / growth:
                 raise ParseError(f"power of a single term reaches more than "
                                  f"{limit} coefficient digits", pos)
-        value = _laurent(value ** e)
+        value = value ** e
     return value
 
 
@@ -239,7 +247,7 @@ def _atom(cur: _Cursor, table: SymbolTable):
         cur.advance()
         if text == "i":
             return _Laurent(table, {0: (0, 1)})
-        return _Laurent.symbol(table, text)
+        return _Laurent(table, {1 << table._shifts[table.index(text)]: (1, 0)})
     if kind == "op" and text == "(":
         cur.advance()
         cur.descend(pos)

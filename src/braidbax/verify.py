@@ -1,15 +1,16 @@
 """End-to-end verification: every published claim, one section per theme.
 
 A check is a (name, run) pair: run() returns its detail text or raises
-CheckFailed.  run_checks times each check and turns it into a Section,
-so a regression anywhere in the package surfaces as a named failure
-rather than a stack trace; an error of scalar.LIMIT_ERRORS (an input
-past a scalar bound, not a failed check) propagates instead.  No
-built-in reaches a limit: a run_all task that did would read "ended
-without a result" in a forked child, and end the run in the process
-itself.  A Report renders the sections as text or JSON; the CLI verbs
-and run_all share both.  run_all executes nine independent sections,
-each building its own symbol tables.
+CheckFailed.  _run_tasks times each check and turns it into a Section,
+for run_checks in the process alone and for run_all over a pool, so a
+regression anywhere in the package surfaces as a named failure rather
+than a stack trace; an error of scalar.LIMIT_ERRORS (an input past a
+scalar bound, not a failed check) propagates instead.  No built-in
+reaches a limit: a run_all task that did would read "ended without a
+result" in a forked child, and end the run in the process itself.  A
+Report renders the sections as text or JSON; the CLI verbs and run_all
+share both.  run_all executes nine independent sections, each building
+its own symbol tables.
 
 Both projector suites take one spectral path: lagrange_projectors over
 the roots of the minimal polynomial (it checks idempotence, orthogonality,
@@ -31,12 +32,14 @@ depend on the chunk layout.  A case forms each sum and product that
 several of its identities name once, and checks every identity in
 full.  A pipe holds one byte per task, the chunks first.  The process
 and a forked child per extra CPU each take one task at a time until the
-pipe is empty; a child answers as JSON on a pipe of its own.  The
-report does not depend on the CPU count: a section holds when all its
-tasks do, its detail is that of its first failing task in queue order
-(so the lowest failing plumbing case wins), and its elapsed time runs
-from its first task's start to its last task's end.  With one CPU, no
-fork or another live thread, the process takes every task itself.
+pipe is empty; a child answers on a pipe of its own, one JSON line per
+task as soon as it ends, so a child that dies fails only the task it
+was running.  The report does not depend on the CPU count: a section
+holds when all its tasks do, its detail is that of its first failing
+task in queue order (so the lowest failing plumbing case wins), and
+its elapsed time runs from its first task's start to its last task's
+end.  With one CPU, no fork or another live thread, the process takes
+every task itself.
 """
 
 from __future__ import annotations
@@ -123,29 +126,21 @@ class Section:
     elapsed: float
 
 
-def _failure_text(exc: Exception) -> str:
-    """A failed check's detail: the CheckFailed text, else the exception's type and text."""
-    return str(exc) if isinstance(exc, CheckFailed) else f"{type(exc).__name__}: {exc}"
-
-
 def _outcome(run: Callable[[], str]) -> Tuple[bool, str]:
-    """Whether a check holds, with its detail text; a limit error propagates."""
+    """Whether a check holds, with its detail text: on a failure the CheckFailed
+    text, else the exception's type and text.  A limit error propagates."""
     try:
         return True, run()
     except LIMIT_ERRORS:
         raise
     except Exception as exc:
-        return False, _failure_text(exc)
+        return False, str(exc) if isinstance(exc, CheckFailed) else f"{type(exc).__name__}: {exc}"
 
 
 def run_checks(checks: Iterable[Check]) -> Tuple[Section, ...]:
     """Run each check in order; failures become sections, never exceptions."""
-    sections = []
-    for name, run in checks:
-        start = time.perf_counter()
-        holds, detail = _outcome(run)
-        sections.append(Section(name, holds, detail, time.perf_counter() - start))
-    return tuple(sections)
+    tasks = [(name, "check", run) for name, run in checks]
+    return _run_tasks(tasks, 1, [name for name, _, _ in tasks])
 
 
 @dataclass(frozen=True)
@@ -501,22 +496,21 @@ def _run_task(run: Callable[[], str]) -> list:
     return [holds, detail, start, time.perf_counter()]
 
 
-def _take(queue: int, tasks: list, claim: Callable[[int], None] = lambda index: None) -> dict:
-    """Take one task index at a time off the queue pipe until it is empty; their results."""
-    results = {}
+def _take(queue: int, tasks: list, answer: Callable[[int, list], None]) -> None:
+    """Take one task index at a time off the queue pipe until it is empty,
+    answer(index, result) for each."""
     while True:
         byte = os.read(queue, 1)
         if not byte:
-            return results
-        claim(byte[0])
-        results[byte[0]] = _run_task(tasks[byte[0]])
+            return
+        answer(byte[0], _run_task(tasks[byte[0]]))
 
 
 def _fork_worker(queue: int, tasks: list) -> Tuple[int, int]:
     """A forked worker taking tasks off the queue; its pid and the pipe it answers on.
 
-    The worker writes each task index it takes as one line, then all its
-    results as one JSON line, and exits 0 only once that is written.
+    The worker writes each result as one flushed JSON line [index, result]
+    as soon as its task ends, and exits 0 once the queue is empty.
     """
     read, write = os.pipe()
     pid = os.fork()
@@ -525,11 +519,11 @@ def _fork_worker(queue: int, tasks: list) -> Tuple[int, int]:
         try:
             os.close(read)
             with os.fdopen(write, "wb") as pipe:
-                def claim(index: int) -> None:
-                    pipe.write(b"%d\n" % index)
+                def answer(index: int, result: list) -> None:
+                    pipe.write(json.dumps([index, result]).encode() + b"\n")
                     pipe.flush()
 
-                pipe.write(json.dumps(list(_take(queue, tasks, claim).items())).encode())
+                _take(queue, tasks, answer)
             status = 0
         finally:
             # never return into the parent's code, nor flush its buffers
@@ -538,38 +532,33 @@ def _fork_worker(queue: int, tasks: list) -> Tuple[int, int]:
     return pid, read
 
 
-def _worker_results(pid: int, read: int, results: dict, lost: dict) -> Optional[int]:
-    """Read a worker's answer to the end and reap it; its exit status unless it answered.
-
-    The results it sent go into results; each task it took without
-    answering goes into lost with its exit status.
-    """
+def _answers(pid: int, read: int, results: dict) -> int:
+    """Read a worker's complete answer lines into results, reap it; its exit status."""
     with os.fdopen(read, "rb") as pipe:
-        *claims, answer = pipe.read().split(b"\n")
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0 and answer:
-        results.update(json.loads(answer))
-        return None
-    lost.update((int(index), code) for index in claims)
-    return code
+        results.update(json.loads(line) for line in pipe if line.endswith(b"\n"))
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def _pool(tasks: list, workers: int) -> Tuple[dict, dict]:
-    """Each task's result by index, and for every other task the exit status
-    of the child that took it.
+def _pool(tasks: list, workers: int) -> Tuple[dict, int]:
+    """Each task's result by index, and the exit status of the first child,
+    in fork order, that exited nonzero (else 0).
 
-    A pipe holds one byte per task index.  The process and workers - 1
-    forked children take one at a time until it is empty.  Should the
+    One worker is the process itself, taking the tasks in order.  Else a
+    pipe holds one byte per task index, and the process and workers - 1
+    forked children take one at a time until it is empty.  A task left
+    without a result was running in a child that died.  Should the
     process raise, every child is killed and reaped.
     """
+    if workers == 1:
+        return {index: _run_task(run) for index, run in enumerate(tasks)}, 0
     queue, feed = os.pipe()
     os.write(feed, bytes(range(len(tasks))))
     os.close(feed)
-    children, results, lost = [], {}, {}
+    children, results = [], {}
     try:
         for _ in range(workers - 1):
             children.append(_fork_worker(queue, tasks))
-        results.update(_take(queue, tasks))
+        _take(queue, tasks, results.__setitem__)
     except BaseException:
         import signal
 
@@ -578,40 +567,23 @@ def _pool(tasks: list, workers: int) -> Tuple[dict, dict]:
         raise
     finally:
         os.close(queue)
-        codes = [_worker_results(pid, read, results, lost) for pid, read in children]
-    # a task nobody claimed was taken by a child that died before writing the claim
-    dead = [code for code in codes if code is not None]
-    lost.update((index, dead[0]) for index in range(len(tasks))
-                if index not in results and index not in lost)
-    return results, lost
+        codes = [_answers(pid, read, results) for pid, read in children]
+    return results, next((code for code in codes if code), 0)
 
 
-def _run_sections(seed: int, fault: Optional[str]) -> Tuple[Section, ...]:
-    """All nine sections, run as one pool of tasks over the CPUs the process may use.
+def _run_tasks(tasks: list, workers: int, names: Iterable[str]) -> Tuple[Section, ...]:
+    """The named sections, in that order, of (section name, lost-task label,
+    run) tasks run as one pool over workers processes.
 
-    A task is (section name, the label a lost task reads under, run).  The
-    queue holds one plumbing chunk per worker, then the eight other
-    sections in order.  With one CPU, no fork or another live thread (a
-    fork copies only the calling thread) the process takes every task.
     A section holds when all its tasks hold; its detail is the first
     failing task's in queue order, else the first task's.
     """
-    import threading  # here, like signal in _pool, so that importing the package loads neither
-
-    workers = _cpu_count()
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    bounds = [_PLUMBING_CASES * k // workers for k in range(workers + 1)]
-    tasks = [("plumbing", f"plumbing cases {lo}..{hi - 1}",
-              functools.partial(_check_cases, seed, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
-    tasks += [(name, "section", functools.partial(run, fault)) for name, run in _SECTIONS]
-    results, lost = _pool([run for _, _, run in tasks], workers)
-
+    results, code = _pool([run for _, _, run in tasks], workers)
     sections = []
-    for name in [name for name, _ in _SECTIONS] + ["plumbing"]:
+    for name in names:
         mine = [index for index, task in enumerate(tasks) if task[0] == name]
         outcomes = [results[index][:2] if index in results else
-                    (False, f"{tasks[index][1]} ended without a result (exit status {lost[index]})")
+                    (False, f"{tasks[index][1]} ended without a result (exit status {code})")
                     for index in mine]
         spans = [results[index][2:] for index in mine if index in results]
         elapsed = max(end for _, end in spans) - min(start for start, _ in spans) if spans else 0.0
@@ -621,7 +593,22 @@ def _run_sections(seed: int, fault: Optional[str]) -> Tuple[Section, ...]:
 
 
 def run_all(seed: int = 0, fault: Optional[str] = None) -> Report:
-    """Run every section; failures become report entries, never exceptions."""
+    """Run every section; failures become report entries, never exceptions.
+
+    The queue holds one plumbing chunk per worker, then the eight other
+    sections in order.  With one CPU, no fork or another live thread (a
+    fork copies only the calling thread) the process takes every task.
+    """
+    import threading  # here, like signal in _pool, so that importing the package loads neither
+
     if fault is not None and fault not in FAULT_TARGETS:
         raise ValueError(f"unknown fault target {fault!r}")
-    return Report(_run_sections(seed, fault), {"seed": seed})
+    workers = _cpu_count()
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    bounds = [_PLUMBING_CASES * k // workers for k in range(workers + 1)]
+    tasks = [("plumbing", f"plumbing cases {lo}..{hi - 1}",
+              functools.partial(_check_cases, seed, lo, hi)) for lo, hi in zip(bounds, bounds[1:])]
+    tasks += [(name, "section", functools.partial(run, fault)) for name, run in _SECTIONS]
+    names = [name for name, _ in _SECTIONS] + ["plumbing"]
+    return Report(_run_tasks(tasks, workers, names), {"seed": seed})

@@ -380,6 +380,21 @@ def test_a_long_value_in_an_analyze_message_is_quoted_in_part(entries, prefix, t
     assert len(captured.err.encode()) < 400
 
 
+@pytest.mark.parametrize("symbols, entry, reason", [
+    ([], "z", "unknown symbol 'z'"),
+    ([], "z" * 5000, f"unknown symbol {'z' * 60!r}... (5000 characters)"),
+    (["a" * 4999 + "-"], "1", f"symbol name '{'a' * 47}... (5035 characters)"),
+], ids=["unknown", "long-unknown", "long-invalid"])
+def test_a_matrix_file_symbol_is_quoted_in_part(symbols, entry, reason, tmp_path, capsys):
+    target = _write_matrix(tmp_path / "m.json", 1, symbols, [[entry]])
+    assert main(["analyze", f"file:{target}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"input error: {target} does not describe a matrix: {reason}"]
+    assert len(captured.err.encode()) < 400
+
+
 def test_exponents_beyond_the_key_bound_are_input_errors(capsys):
     # a one-term power scales its exponents, each up to 2^40 - 1
     assert main(["ncplane", "s03", "--c=a^99999999999"]) == 0

@@ -173,6 +173,11 @@ def test_parse_routes_agree_on_chosen_texts():
         "-" * MAX_DEPTH + "x", "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
         "-" * (MAX_DEPTH + 1) + "x",
         "x^2*y + (3/4 + 1/3*i)*x^-1 - 1/12*y^-2", "((1 + 6*i)*x^2*y^3 + 6 + 12*i)/(4*x*y)",
+        # sums over two monomials, Scalar operands on either side, powers off the unit route
+        "x/y + 1/(2*y^2)", "1/(x + 1) + x", "x - 1/(x + 1)", "(1/(x + 1))/x",
+        "(x + 1)^2*y + 1/x", "(i*x)^-3*y", "(x/y)^3", "(x^2/x)^3",
+        f"1/(x + 1)*x^{_TOP}*x", f"x^{_TOP}*x/(x + 1)", f"x^{_TOP}/(x + 1)*x",
+        f"1/(x + 1) + x^{_TOP}*x", f"(x + 1)^-1*x^-{_TOP}*x^-1", f"x^{_HALF} + 1/(x + 1)",
     ):
         assert _outcome(parse, text, table) == _outcome(reference_parse, text, table), text
 

@@ -211,38 +211,39 @@ def _parent_waits_until(monkeypatch, remaining):
     monkeypatch.setattr(verify, "_take", take)
 
 
-def _record_claims(monkeypatch, path, after=lambda taken: None):
-    """Append "pid index" to path for each task any worker takes, then call after().
+def _record_tasks(monkeypatch, path, after=lambda taken: None):
+    """Append "pid label" to path as each task starts, then call after(taken).
 
-    after(taken) gets the indices this worker has taken so far.
+    A label is a section name, or "plumbing cases lo..hi" for a plumbing chunk;
+    taken lists the labels this process has started so far.
     """
-    real_take = verify._take
+    real_run, taken = verify._run_task, []
+    names = {run: name for name, run in verify._SECTIONS}
 
-    def take(queue, tasks, claim=lambda index: None):
-        taken = []
+    def run_task(run):
+        if run.func is verify._check_cases:
+            label = f"plumbing cases {run.args[1]}..{run.args[2] - 1}"
+        else:
+            label = names[run.func]
+        taken.append(label)
+        fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        try:
+            os.write(fd, f"{os.getpid()} {label}\n".encode())
+        finally:
+            os.close(fd)
+        after(taken)
+        return real_run(run)
 
-        def record(index):
-            claim(index)
-            taken.append(index)
-            fd = os.open(path, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
-            try:
-                os.write(fd, b"%d %d\n" % (os.getpid(), index))
-            finally:
-                os.close(fd)
-            after(taken)
-
-        return real_take(queue, tasks, record)
-
-    monkeypatch.setattr(verify, "_take", take)
+    monkeypatch.setattr(verify, "_run_task", run_task)
 
 
-def _claims(path):
-    """{pid: [task index, ...]} from the lines _record_claims wrote."""
-    claims = {}
+def _started(path):
+    """{pid: [label, ...]} from the lines _record_tasks wrote."""
+    started = {}
     for line in path.read_text().splitlines():
-        pid, index = map(int, line.split())
-        claims.setdefault(pid, []).append(index)
-    return claims
+        pid, label = line.split(" ", 1)
+        started.setdefault(int(pid), []).append(label)
+    return started
 
 
 def _fail_plumbing_at(monkeypatch, failures):
@@ -358,18 +359,18 @@ def test_a_child_that_exits_without_a_result_fails_the_section(monkeypatch):
             os._exit(3)
 
     _fail_plumbing_at(monkeypatch, {700: leave})
-    # the one child takes both chunks and dies in the second: both are lost
+    # the one child takes both chunks and dies in the second: only that one is lost
     _parent_waits_until(monkeypatch, len(SECTION_ORDER) - 1)
     report = _pool_report(monkeypatch, 2)
     assert [s.name for s in report.sections if not s.holds] == ["plumbing"]
     section = find_section(report, "plumbing")
-    assert section.detail == "plumbing cases 0..499 ended without a result (exit status 3)"
+    assert section.detail == "plumbing cases 500..999 ended without a result (exit status 3)"
 
 
 @pytest.mark.parametrize("workers", (2, 4))
 def test_a_child_that_exits_fails_exactly_the_tasks_it_took(workers, monkeypatch, tmp_path):
-    """Each child leaves by os._exit(3) on taking its second task, which it never runs."""
-    parent, path = os.getpid(), tmp_path / "claims"
+    """Each child leaves by os._exit(3) on starting its second task, which alone is lost."""
+    parent, path = os.getpid(), tmp_path / "started"
 
     def after(taken):
         if os.getpid() != parent and len(taken) == 2:
@@ -377,24 +378,43 @@ def test_a_child_that_exits_fails_exactly_the_tasks_it_took(workers, monkeypatch
 
     _fail_plumbing_at(monkeypatch, {})
     clean = _outcomes(_pool_report(monkeypatch, 1))
-    _record_claims(monkeypatch, path, after)
+    _record_tasks(monkeypatch, path, after)
     report = _pool_report(monkeypatch, workers)
-    lost = sorted(index for pid, taken in _claims(path).items() if pid != parent
-                  for index in taken)
-    chunks = [(1000 * k // workers, 1000 * (k + 1) // workers - 1) for k in range(workers)]
+    lost = {taken[1] for pid, taken in _started(path).items() if pid != parent and len(taken) > 1}
     want = []
-    for index, (name, holds, detail) in enumerate(clean[:-1], workers):
-        if index in lost:
+    for name, holds, detail in clean[:-1]:
+        if name in lost:
             holds, detail = False, "section ended without a result (exit status 3)"
         want.append((name, holds, detail))
-    lost_chunks = [chunks[index] for index in lost if index < workers]
+    chunks = [f"plumbing cases {1000 * k // workers}..{1000 * (k + 1) // workers - 1}"
+              for k in range(workers)]
+    lost_chunks = [chunk for chunk in chunks if chunk in lost]
     if lost_chunks:
-        lo, hi = lost_chunks[0]
         want.append(("plumbing", False,
-                     f"plumbing cases {lo}..{hi} ended without a result (exit status 3)"))
+                     f"{lost_chunks[0]} ended without a result (exit status 3)"))
     else:
         want.append(clean[-1])
     assert _outcomes(report) == want
+
+
+@pytest.mark.parametrize("workers", (2, 4))
+def test_a_child_that_exits_after_answering_loses_nothing(workers, monkeypatch):
+    parent, real_take = os.getpid(), verify._take
+
+    def take(queue, tasks, answer):
+        def answer_and_leave(index, result):
+            answer(index, result)
+            if os.getpid() != parent:
+                os._exit(3)
+
+        real_take(queue, tasks, answer_and_leave)
+
+    _fail_plumbing_at(monkeypatch, {})
+    one = _outcomes(_pool_report(monkeypatch, 1))
+    monkeypatch.setattr(verify, "_take", take)
+    # every child takes a task before the process takes any
+    _parent_waits_until(monkeypatch, len(SECTION_ORDER))
+    assert _outcomes(_pool_report(monkeypatch, workers)) == one
 
 
 def test_children_are_reaped_when_the_parent_chunk_raises(monkeypatch):
