@@ -2,8 +2,14 @@
 
 SquareMatrix is immutable and stores every entry as a Scalar over one
 shared SymbolTable; it has the operations the package uses and no more.
-Products skip exactly-zero entries, which keeps the 8x8 symbolic residual
-computations elsewhere in this package fast.  The module also houses the
+The public constructor lifts ints and Fractions through table.scalar;
+every matrix this module computes is built by the private _of, which
+stores its rows of already-canonical Scalars as they are.  Products skip
+exactly-zero entries, and sums return the other entry (negated for a
+difference) where one is exactly zero: a canonical form is stored as it
+stands, so that is the entry the Scalar sum would store.  This keeps the
+8x8 symbolic residual computations elsewhere in this package fast, as
+their matrices are mostly zeros and constants.  The module also houses the
 built-in 4x4 matrices the rest of the package analyzes, a univariate
 polynomial type for minimal polynomials (printed in t through the scalar
 layer's term printer, and found by a Krylov search over one row per
@@ -63,12 +69,24 @@ class SquareMatrix:
         self.rows = tuple(fixed)
 
     @classmethod
+    def _of(cls, table: SymbolTable, rows: Sequence[Sequence[Scalar]]) -> "SquareMatrix":
+        """The matrix of square rows of canonical Scalars of table, stored as they are."""
+        if not rows:
+            raise DimensionMismatch("matrix needs at least one row")
+        m = object.__new__(cls)
+        m.table = table
+        m.n = len(rows)
+        m.rows = tuple(map(tuple, rows))
+        return m
+
+    @classmethod
     def identity(cls, table: SymbolTable, n: int) -> "SquareMatrix":
-        return cls(table, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        zero, one = table.zero(), table.one()
+        return cls._of(table, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, table: SymbolTable, n: int) -> "SquareMatrix":
-        return cls(table, [[0] * n for _ in range(n)])
+        return cls._of(table, [[table.zero()] * n] * n)
 
     # -- structure --
 
@@ -102,19 +120,21 @@ class SquareMatrix:
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._same_shape(other)
-        return SquareMatrix(self.table, [[a + b for a, b in zip(ra, rb)]
-                                         for ra, rb in zip(self.rows, other.rows)])
+        return SquareMatrix._of(self.table, [[a + b if a and b else a or b
+                                              for a, b in zip(ra, rb)]
+                                             for ra, rb in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
         if not isinstance(other, SquareMatrix):
             return NotImplemented
         self._same_shape(other)
-        return SquareMatrix(self.table, [[a - b for a, b in zip(ra, rb)]
-                                         for ra, rb in zip(self.rows, other.rows)])
+        return SquareMatrix._of(self.table, [[a - b if a and b else -b if b else a
+                                              for a, b in zip(ra, rb)]
+                                             for ra, rb in zip(self.rows, other.rows)])
 
     def _scale(self, factor: Scalar) -> "SquareMatrix":
-        return SquareMatrix(self.table, [[factor * e if e else e for e in row]
-                                         for row in self.rows])
+        return SquareMatrix._of(self.table, [[factor * e if e else e for e in row]
+                                             for row in self.rows])
 
     def __mul__(self, other):
         if isinstance(other, SquareMatrix):
@@ -130,7 +150,7 @@ class SquareMatrix:
                             pairs.setdefault(j, []).append((a, b))
                 out.append([_dot(self.table, pairs[j]) if j in pairs else zero
                             for j in range(self.n)])
-            return SquareMatrix(self.table, out)
+            return SquareMatrix._of(self.table, out)
         factor = self._as_scalar(other)
         if factor is None:
             return NotImplemented
@@ -151,9 +171,9 @@ class SquareMatrix:
 
     def dagger(self) -> "SquareMatrix":
         """Conjugate transpose; symbols are treated as real."""
-        return SquareMatrix(self.table,
-                            [[self.rows[j][i].conjugate() for j in range(self.n)]
-                             for i in range(self.n)])
+        return SquareMatrix._of(self.table,
+                                [[self.rows[j][i].conjugate() for j in range(self.n)]
+                                 for i in range(self.n)])
 
     def inverse(self) -> "SquareMatrix":
         n = self.n
@@ -164,7 +184,7 @@ class SquareMatrix:
         reduced, pivots = rref(aug)
         if pivots[:n] != list(range(n)):
             raise SingularMatrix("matrix has no inverse over the field")
-        return SquareMatrix(self.table, [row[n:] for row in reduced])
+        return SquareMatrix._of(self.table, [row[n:] for row in reduced])
 
     def kron(self, other: "SquareMatrix") -> "SquareMatrix":
         """Kronecker product, row-major blocks: result[i*m+k][j*m+l] = A[i][j]*B[k][l]."""
@@ -183,7 +203,7 @@ class SquareMatrix:
                     else:
                         row.extend(a * b if b else zero for b in other.rows[k])
                 rows.append(row)
-        return SquareMatrix(self.table, rows)
+        return SquareMatrix._of(self.table, rows)
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:

@@ -33,23 +33,25 @@ levels str(Scalar) prints.
 A power of a value with two or more terms in its numerator or
 denominator is bounded: |exponent| times the largest total degree of
 those terms may not exceed MAX_EXPONENT, so '(a+1)^1000' parses and
-'(a+1)^1001' or '((a+1)^40)^40' raise ParseError before any work.  A
-power of one term over one term scales exponents and powers two
-Gaussian-integer coefficients; the coefficients it would reach may not
-exceed MAX_DIGITS decimal digits, the interpreter's default limit for
-printing an int, and neither may an integer literal; when the
-interpreter's own limit (sys.get_int_max_str_digits) is lower, that
-limit bounds both instead.  Units never grow, so 'i^99999' and
-'x^20000' parse, while '2^99999999999' raises ParseError without
-allocating.  The exponents it scales are bounded by the scalar layer:
-'(a^99999999999)^99999999999' passes scalar.MAX_SYMBOL_EXPONENT and
-raises ExponentLimitExceeded, as does every sum, product and quotient
-whose stored form would pass it, at the step where it is formed.
-Both bounds apply to the canonical form of the base.  str(Scalar)
-prints no power of a number, so everything it prints still parses
-back.  A quotient of sums in one symbol takes a gcd, bounded by
-scalar.MAX_GCD_DEGREE: '(a^99999999999+1)/(a+1)' raises
-DegreeLimitExceeded before the gcd starts.
+'(a+1)^1001' or '((a+1)^40)^40' raise ParseError before any work.  The
+message names a degree of more than thirty digits by its digit count,
+which keeps it one short line.  A power of one term over one term
+scales exponents and powers two Gaussian-integer coefficients; the
+coefficients it would reach may not exceed MAX_DIGITS decimal digits,
+the interpreter's default limit for printing an int, and neither may an
+integer literal; when the interpreter's own limit
+(sys.get_int_max_str_digits) is lower, that limit bounds both instead.
+Units never grow, so 'i^99999' and 'x^20000' parse, while
+'2^99999999999' raises ParseError without allocating.  The exponents it
+scales are bounded by the scalar layer: '(a^99999999999)^99999999999'
+passes scalar.MAX_SYMBOL_EXPONENT and raises ExponentLimitExceeded, as
+does every sum, product and quotient whose stored form would pass it,
+at the step where it is formed.  Both bounds apply to the canonical
+form of the base.  str(Scalar) prints no power of a number, so
+everything it prints still parses back.  A quotient of sums in one
+symbol takes a gcd, bounded by scalar.MAX_GCD_DEGREE:
+'(a^99999999999+1)/(a+1)' raises DegreeLimitExceeded before the gcd
+starts.
 """
 
 from __future__ import annotations
@@ -192,8 +194,10 @@ def _power(cur: _Cursor, table: SymbolTable):
         if len(value.num) > 1 or len(value.den) > 1:
             degree = abs(e) * max(sum(table._unpack(x)) for x in (*value.num, *value.den))
             if degree > MAX_EXPONENT:
-                raise ParseError(f"power of a sum reaches total degree {degree}, "
-                                 f"beyond the limit {MAX_EXPONENT}", pos)
+                # a long degree is named by its digit count: plainly past the limit, one short line
+                reach = (f"{degree}, beyond the limit {MAX_EXPONENT}" if degree < 10 ** 30
+                         else f"of {_digit_count(degree)} digits")
+                raise ParseError(f"power of a sum reaches total degree {reach}", pos)
         else:
             # decimal digits a coefficient gains per unit of |e|: log10 of its modulus
             growth = max((math.log10(re * re + im * im) / 2
@@ -227,6 +231,16 @@ def _signed_int(cur: _Cursor) -> int:
 def _digit_limit() -> int:
     # MAX_DIGITS, or the interpreter's int-printing limit when lower (0 sets none)
     return min(MAX_DIGITS, sys.get_int_max_str_digits() or MAX_DIGITS)
+
+
+def _digit_count(n: int) -> int:
+    """The decimal digits of the positive int n, counted without printing it:
+    a degree is |exponent| times a base degree, and can pass the
+    interpreter's int printing limit."""
+    digits = int(math.log10(n)) + 1  # the float may be one off either way
+    if n >= 10 ** digits:
+        return digits + 1
+    return digits - 1 if n < 10 ** (digits - 1) else digits
 
 
 def _int_literal(text: str, pos: int) -> int:

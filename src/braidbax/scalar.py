@@ -77,7 +77,9 @@ int pair; Fraction appears only where values enter (SymbolTable.scalar).
 Printing divides each int by its gcd with the denominator (_ratio_str).
 
 SymbolTable.scalar is the one conversion into the field: every int,
-Fraction or Scalar handed to the package passes through it.
+Fraction or Scalar handed to the package passes through it.  Each table
+holds one canonical zero and one one, returned for 0 and 1: Scalars are
+immutable, and no operation writes into an operand's dicts.
 
 _signed_term is the one term printer: every term of a printed scalar
 (its re + i*im coefficient included), minimal polynomial or plane
@@ -142,7 +144,7 @@ class SymbolTable:
     mixing scalars from tables with different names raises ValueError.
     """
 
-    __slots__ = ("names", "n", "_pos", "_shifts", "_masks", "_guard")
+    __slots__ = ("names", "n", "_pos", "_shifts", "_masks", "_guard", "_zero", "_one")
 
     def __init__(self, names: Iterable[str] = ()):
         names = tuple(names)
@@ -164,6 +166,9 @@ class SymbolTable:
         self._shifts = tuple(_FIELD_BITS * (self.n - 1 - k) for k in range(self.n))
         self._masks = tuple(_FIELD_MASK << s for s in self._shifts)
         self._guard = self._pack([_FIELD_MASK ^ MAX_SYMBOL_EXPONENT] * self.n)
+        # one zero and one one per table: Scalars are immutable, so all share them
+        self._zero = Scalar(self, {}, {0: (1, 0)})
+        self._one = Scalar(self, {0: (1, 0)}, {0: (1, 0)})
 
     def __repr__(self):
         return f"SymbolTable({list(self.names)!r})"
@@ -198,9 +203,10 @@ class SymbolTable:
     def scalar(self, value) -> "Scalar":
         """value as a Scalar over this table's names.
 
-        An int or a Fraction becomes a constant, and a Scalar over the
-        same names is returned as it is.  A Scalar over other names
-        raises ValueError; any other value raises TypeError.
+        An int or a Fraction becomes a constant, 0 and 1 the table's
+        shared zero and one, and a Scalar over the same names is returned
+        as it is.  A Scalar over other names raises ValueError; any other
+        value raises TypeError.
         """
         if type(value) is Scalar and value.table is self:
             return value
@@ -214,13 +220,17 @@ class SymbolTable:
             re, d = value.numerator, value.denominator
         else:
             raise TypeError(f"cannot make a scalar from a {type(value).__name__}")
-        return Scalar(self, {0: (re, 0)} if re else {}, {0: (d, 0)})
+        if not re:
+            return self._zero
+        if re == 1 and d == 1:
+            return self._one
+        return Scalar(self, {0: (re, 0)}, {0: (d, 0)})
 
     def zero(self) -> "Scalar":
-        return self.scalar(0)
+        return self._zero
 
     def one(self) -> "Scalar":
-        return self.scalar(1)
+        return self._one
 
     def i(self) -> "Scalar":
         return Scalar(self, {0: (0, 1)}, {0: (1, 0)})

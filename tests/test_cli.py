@@ -350,6 +350,26 @@ def test_analyze_file_power_beyond_the_limit_is_an_input_error(tmp_path, capsys)
         "total degree 1001, beyond the limit 1000 (at position 6)"]
 
 
+@pytest.mark.parametrize("text, digits", [("(a^10+1)^" + "9" * 4300, 4301),
+                                           ("(a+1)^" + "9" * 4000, 4000)])
+def test_a_huge_degree_is_named_by_its_digit_count(text, digits, tmp_path, monkeypatch, capsys):
+    # the first degree passes the interpreter's int printing limit, the second nearly does
+    reason = (f"power of a sum reaches total degree of {digits} digits "
+              f"(at position {text.rindex('^') + 1})")
+    assert main(["ncplane", "s03", f"--c={text}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1 and len(captured.err.encode()) < 200
+    assert captured.err.endswith(f": {reason}\n")
+    monkeypatch.chdir(tmp_path)
+    _write_matrix(tmp_path / "power.json", 1, ["a"], [[text]])
+    assert main(["analyze", "file:power.json"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: power.json does not describe a matrix: {reason}\n"
+    assert len(captured.err.encode()) < 200
+
+
 def test_a_limit_reached_inside_a_check_is_an_input_error(tmp_path, capsys):
     # the spectrum stays under the exponent bound; the braid residual's
     # triple products pass it, inside the constant-ybe check

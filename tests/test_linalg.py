@@ -1,6 +1,8 @@
 """Matrices, univariate polynomials, built-ins, and the JSON layout."""
 
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -18,8 +20,9 @@ from braidbax import (
     minimal_polynomial,
     rref,
 )
+from braidbax.scalar import Scalar, _dot
 
-from conftest import TABLE, matrices, to_sympy
+from conftest import TABLE, matrices, nonzero_scalars, to_sympy
 
 
 def test_construction_and_coercion():
@@ -87,6 +90,96 @@ def test_kron_shape_and_values():
 @given(matrices(), matrices(), matrices(), matrices())
 def test_kron_mixed_product(a, b, c, d):
     assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
+
+
+# -- stored forms: the matrix layer keeps canonical entries and skips zeros --
+#
+# Sums with an exact zero return the other entry as it is, and internal
+# results store their entries without a second canonicalisation.  Both
+# rest on canonicalisation being idempotent, which the first test checks
+# next to the matrix operations that rely on it.
+
+_TABLES = [SymbolTable(names) for names in ([], ["x"], ["x", "y"], ["x", "y", "z"])]
+
+
+@st.composite
+def _entries(draw, table):
+    """Exact zeros (the table's shared one among them), or values whose
+    denominator may have two terms, over two symbols where the table has them."""
+    kind = draw(st.sampled_from(["zero", "computed zero", "laurent", "two terms"]))
+    if kind == "zero":
+        return table.zero()
+    value = draw(nonzero_scalars(names=table.names, table=table))
+    if kind == "computed zero":
+        return value - value
+    if kind == "two terms" and table.n:
+        den = table.symbol(table.names[0]) + draw(st.integers(1, 3))
+        if table.n > 1:
+            den = den + draw(st.integers(-2, 2).filter(bool)) * table.symbol(table.names[1])
+        value = value / den
+    return value
+
+
+@st.composite
+def _matrix_pairs(draw):
+    table = draw(st.sampled_from(_TABLES))
+    n = draw(st.integers(1, 3))
+
+    def matrix():
+        return SquareMatrix(table, [[draw(_entries(table)) for _ in range(n)] for _ in range(n)])
+
+    return table, matrix(), matrix(), draw(_entries(table))
+
+
+def _forms(rows):
+    return [[(e.num, e.den) for e in row] for row in rows]
+
+
+@given(_matrix_pairs())
+def test_canonical_forms_are_kept_and_zero_sums_match_the_scalar_route(case):
+    table, a, b, c = case
+    for value in (c, *(e for row in a.rows + b.rows for e in row)):
+        again = Scalar(table, value.num, value.den)
+        assert (again.num, again.den) == (value.num, value.den)
+    ra, rb, n = a.rows, b.rows, a.n
+    assert _forms((a + b).rows) == _forms([[x + y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    assert _forms((a - b).rows) == _forms([[x - y for x, y in zip(p, q)] for p, q in zip(ra, rb)])
+    assert _forms((c * a).rows) == _forms([[c * x for x in p] for p in ra])
+    assert _forms((a * b).rows) == _forms([
+        [reduce(operator.add, (ra[i][k] * rb[k][j] for k in range(n)), table.zero())
+         for j in range(n)] for i in range(n)])
+    assert _forms(a.kron(b).rows) == _forms([
+        [ra[i][j] * rb[k][l] for j in range(n) for l in range(n)]
+        for i in range(n) for k in range(n)])
+
+
+def _snapshot(values):
+    return [(dict(v.num), dict(v.den)) for v in values]
+
+
+@given(_matrix_pairs())
+def test_no_operation_writes_into_its_operands(case):
+    # the table's zero and one are shared by every value that is 0 or 1,
+    # so an operation writing into an operand would corrupt them all
+    table, a, b, c = case
+    scalars = [c, table.zero(), table.one(), *(e for row in a.rows + b.rows for e in row)]
+    before = _snapshot(scalars)
+    for x in scalars:
+        x.conjugate(), -x, x ** 2, x + 1, 1 - x, 0 * x
+        if x:
+            x ** -1, 1 / x
+        for y in scalars[:4]:
+            x + y, x - y, x * y
+            if y:
+                x / y
+    _dot(table, [(x, y) for x in scalars for y in scalars[:3] if x and y])
+    a + b, a - b, c * a, a * c, a * b, a.kron(b), a.dagger(), rref(a.rows)
+    try:
+        a.inverse()
+    except SingularMatrix:
+        pass
+    assert _snapshot(scalars) == before
+    assert table.zero().num == {} and table.one().num == {0: (1, 0)}
 
 
 def test_rref():

@@ -92,6 +92,18 @@ def test_table_scalar_is_the_one_conversion():
             x + value
 
 
+def test_each_table_shares_one_zero_and_one_one():
+    table = SymbolTable(["x"])
+    zero, one = table.zero(), table.one()
+    assert zero is table.zero() is table.scalar(0) is table.scalar(Fraction(0))
+    assert one is table.one() is table.scalar(1) is table.scalar(Fraction(3, 3))
+    assert (zero.num, zero.den) == ({}, {0: (1, 0)})
+    assert (one.num, one.den) == ({0: (1, 0)}, {0: (1, 0)})
+    assert table.scalar(-1) is not one and table.scalar(2) is not one
+    # another table of the same names has its own
+    assert SymbolTable(["x"]).zero() is not zero
+
+
 # ------------------------------------------------------- canonical behaviour
 
 
