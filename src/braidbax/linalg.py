@@ -9,19 +9,21 @@ exactly-zero entries, and sums return the other entry (negated for a
 difference) where one is exactly zero: a canonical form is stored as it
 stands, so that is the entry the Scalar sum would store.  This keeps the
 8x8 symbolic residual computations elsewhere in this package fast, as
-their matrices are mostly zeros and constants.  The module also houses the
-built-in 4x4 matrices the rest of the package analyzes, a univariate
-polynomial type for minimal polynomials (printed in t through the scalar
-layer's term printer, and found by a Krylov search over one row per
-power), and a bit-exact JSON form for matrices.
+their matrices are mostly zeros and constants.  One Gauss-Jordan step,
+_insert, serves the inverse, the row space and the Krylov minimal
+polynomial (one row per power: flat entries, then coefficients over the
+powers).  The module also houses the built-in 4x4 matrices the rest of
+the package analyzes, a univariate polynomial type printed in t through
+the scalar layer's term printer, and a bit-exact JSON form for matrices.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 from .parser import parse
-from .scalar import Scalar, SymbolTable, _dot, _join_terms, _signed_term
+from .scalar import Scalar, SymbolTable, _dot, _join_terms, _lift, _signed_term
 
 __all__ = [
     "DimensionMismatch",
@@ -33,7 +35,6 @@ __all__ = [
     "matrix_from_obj",
     "matrix_to_obj",
     "minimal_polynomial",
-    "rref",
 ]
 
 
@@ -151,23 +152,16 @@ class SquareMatrix:
                 out.append([_dot(self.table, pairs[j]) if j in pairs else zero
                             for j in range(self.n)])
             return SquareMatrix._of(self.table, out)
-        factor = self._as_scalar(other)
+        factor = _lift(self.table, other)
         if factor is None:
             return NotImplemented
         return self._scale(factor)
 
     def __rmul__(self, other):
-        factor = self._as_scalar(other)
+        factor = _lift(self.table, other)
         if factor is None:
             return NotImplemented
         return self._scale(factor)
-
-    def _as_scalar(self, value) -> Optional[Scalar]:
-        # None tells the arithmetic dunders to return NotImplemented
-        try:
-            return self.table.scalar(value)
-        except TypeError:
-            return None
 
     def dagger(self) -> "SquareMatrix":
         """Conjugate transpose; symbols are treated as real."""
@@ -179,12 +173,12 @@ class SquareMatrix:
         n = self.n
         one = self.table.one()
         zero = self.table.zero()
-        aug = [list(row) + [one if i == j else zero for j in range(n)]
-               for i, row in enumerate(self.rows)]
-        reduced, pivots = rref(aug)
-        if pivots[:n] != list(range(n)):
-            raise SingularMatrix("matrix has no inverse over the field")
-        return SquareMatrix._of(self.table, [row[n:] for row in reduced])
+        basis: List[list] = []
+        for i, row in enumerate(self.rows):
+            aug = list(row) + [one if i == j else zero for j in range(n)]
+            if _insert(basis, aug, n) is not None:
+                raise SingularMatrix("matrix has no inverse over the field")
+        return SquareMatrix._of(self.table, [row[n:] for _, row in sorted(basis, key=itemgetter(0))])
 
     def kron(self, other: "SquareMatrix") -> "SquareMatrix":
         """Kronecker product, row-major blocks: result[i*m+k][j*m+l] = A[i][j]*B[k][l]."""
@@ -206,42 +200,37 @@ class SquareMatrix:
         return SquareMatrix._of(self.table, rows)
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> Tuple[List[List[Scalar]], List[int]]:
-    """Reduced row echelon form over the exact field.
-
-    Pivots are chosen as the first nonzero entry in scan order, which is
-    deterministic; numerical stability is not a concern here.  Returns
-    the reduced rows (zero rows sink to the bottom) and the pivot column
-    indices.
-    """
-    work = [list(r) for r in rows]
-    if not work:
-        return work, []
-    pivots: List[int] = []
-    r = 0
-    for col in range(len(work[0])):
-        pr = next((k for k in range(r, len(work)) if not work[k][col].is_zero()), None)
-        if pr is None:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        lead = work[r][col]
-        if lead != 1:
-            work[r] = [x / lead for x in work[r]]
-        for k in range(len(work)):
-            if k != r and not work[k][col].is_zero():
-                f = work[k][col]
-                work[k] = [x - f * y for x, y in zip(work[k], work[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(work):
-            break
-    return work, pivots
+def _insert(basis: List[list], row: list, width: int) -> Optional[list]:
+    """One Gauss-Jordan step: reduce row by the [pivot, row] pairs of basis
+    in insertion order, scale its first nonzero entry among the first
+    width columns to one, clear that column from the basis rows and
+    append the row.  Returns None then, or the reduced row when no pivot
+    is left."""
+    for pivot, brow in basis:
+        f = row[pivot]
+        if not f.is_zero():
+            row = [x - f * y for x, y in zip(row, brow)]
+    pivot = next((idx for idx in range(width) if not row[idx].is_zero()), None)
+    if pivot is None:
+        return row
+    lead = row[pivot]
+    if lead != 1:
+        row = [x / lead for x in row]
+    for pair in basis:
+        g = pair[1][pivot]
+        if not g.is_zero():
+            pair[1] = [x - g * y for x, y in zip(pair[1], row)]
+    basis.append([pivot, row])
+    return None
 
 
 def _row_space(matrix: SquareMatrix) -> tuple:
-    """The nonzero rows of rref(matrix): a canonical basis of its row space."""
-    reduced, pivots = rref(matrix.rows)
-    return tuple(tuple(row) for row in reduced[:len(pivots)])
+    """The nonzero rows of the reduced row echelon form of matrix, by pivot:
+    a canonical basis of its row space."""
+    basis: List[list] = []
+    for row in matrix.rows:
+        _insert(basis, list(row), matrix.n)
+    return tuple(tuple(row) for _, row in sorted(basis, key=itemgetter(0)))
 
 
 # -- univariate polynomials in an auxiliary variable t ----------------------
@@ -277,12 +266,6 @@ class UnivariatePoly:
             return False
         return all(a == b for a, b in zip(self.coeffs, other.coeffs))
 
-    def eval_scalar(self, x: Scalar) -> Scalar:
-        total = self.table.zero()
-        for c in reversed(self.coeffs):
-            total = total * x + c
-        return total
-
     def __str__(self):
         return _join_terms([_signed_term(str(c), "" if d == 0 else "t" if d == 1 else f"t^{d}")
                             for d, c in reversed(list(enumerate(self.coeffs)))
@@ -310,20 +293,9 @@ def minimal_polynomial(a: SquareMatrix) -> UnivariatePoly:
         for pair in basis:
             pair[1].append(zero)
         row = [e for r in power.rows for e in r] + [zero] * k + [table.one()]
-        for pivot, brow in basis:
-            f = row[pivot]
-            if not f.is_zero():
-                row = [x - f * y for x, y in zip(row, brow)]
-        pivot = next((idx for idx, x in enumerate(row[:size]) if not x.is_zero()), None)
-        if pivot is None:
-            return UnivariatePoly(table, row[size:])
-        lead = row[pivot]
-        row = [x / lead for x in row]
-        for pair in basis:
-            g = pair[1][pivot]
-            if not g.is_zero():
-                pair[1] = [x - g * y for x, y in zip(pair[1], row)]
-        basis.append([pivot, row])
+        reduced = _insert(basis, row, size)
+        if reduced is not None:
+            return UnivariatePoly(table, reduced[size:])
         power = power * a
         k += 1
         if k > size + 1:

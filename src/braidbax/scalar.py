@@ -140,8 +140,8 @@ LIMIT_ERRORS = (PrintLimitExceeded, ExponentLimitExceeded, DegreeLimitExceeded)
 class SymbolTable:
     """An ordered set of commuting symbol names shared by related scalars.
 
-    Two tables are interchangeable exactly when their name tuples match;
-    mixing scalars from tables with different names raises ValueError.
+    Scalars of tables with equal names mix; any other mix raises
+    ValueError.
     """
 
     __slots__ = ("names", "n", "_pos", "_shifts", "_masks", "_guard", "_zero", "_one")
@@ -172,12 +172,6 @@ class SymbolTable:
 
     def __repr__(self):
         return f"SymbolTable({list(self.names)!r})"
-
-    def __eq__(self, other):
-        return isinstance(other, SymbolTable) and self.names == other.names
-
-    def __hash__(self):
-        return hash(self.names)
 
     def _pack(self, exps) -> int:
         """The key of the non-negative exponents exps, one per symbol."""
@@ -551,6 +545,15 @@ def _over_content(num, den):
     return num, den
 
 
+def _lift(table: SymbolTable, value) -> Optional["Scalar"]:
+    # None tells the arithmetic dunders to return NotImplemented, so
+    # that Scalar * SquareMatrix reaches SquareMatrix.__rmul__
+    try:
+        return table.scalar(value)
+    except TypeError:
+        return None
+
+
 class Scalar:
     """One exact value of the symbolic field Q(i)(s1, ..., sn)."""
 
@@ -577,16 +580,8 @@ class Scalar:
 
     # -- arithmetic --
 
-    def _lift(self, other) -> Optional["Scalar"]:
-        # None tells the arithmetic dunders to return NotImplemented, so
-        # that Scalar * SquareMatrix reaches SquareMatrix.__rmul__
-        try:
-            return self.table.scalar(other)
-        except TypeError:
-            return None
-
     def __add__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         if self.den == o.den:
@@ -597,7 +592,7 @@ class Scalar:
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         if self.den == o.den:
@@ -606,13 +601,13 @@ class Scalar:
         return Scalar(self.table, num, _pmul(self.den, o.den))
 
     def __rsub__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         return o - self
 
     def __mul__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         return Scalar(self.table, _pmul(self.num, o.num), _pmul(self.den, o.den))
@@ -620,7 +615,7 @@ class Scalar:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         if o.is_zero():
@@ -628,7 +623,7 @@ class Scalar:
         return Scalar(self.table, _pmul(self.num, o.den), _pmul(self.den, o.num))
 
     def __rtruediv__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         return o / self
@@ -661,7 +656,7 @@ class Scalar:
         return Scalar(self.table, _pconj(self.num), _pconj(self.den))
 
     def __eq__(self, other):
-        o = self._lift(other)
+        o = _lift(self.table, other)
         if o is None:
             return NotImplemented
         if self.den == o.den:

@@ -5,7 +5,9 @@ monomial divisors of the constant term, plus the closed quadratic
 formula once the polynomial is driven down to degree two.  That covers
 every matrix this package ships and every 4x4 input whose spectrum
 lives in Q(i) adjoined with monomials; anything else raises
-IrreducibleOverSearchSpace rather than guessing.
+IrreducibleOverSearchSpace rather than guessing.  One synthetic division
+by t - r, _divide, gives both the remainder that tests a candidate root
+and the quotient it deflates to, and checks every root found.
 
 lagrange_projectors returns the checked resolution as a plain tuple of
 (eigenvalue, projector) pairs in root order.
@@ -69,11 +71,11 @@ def find_roots(poly: UnivariatePoly) -> List[Scalar]:
         work = UnivariatePoly(table, work.coeffs[1:])
 
     while work.degree() >= 3:
-        root = _trial_root(work)
-        if root is None:
+        found = _trial_root(work)
+        if found is None:
             raise IrreducibleOverSearchSpace(poly)
+        root, work = found
         roots.append(root)
-        work = _deflate(work, root)
 
     if work.degree() == 2:
         b, c = work.coeffs[1], work.coeffs[0]
@@ -88,13 +90,14 @@ def find_roots(poly: UnivariatePoly) -> List[Scalar]:
         roots.append(-work.coeffs[0])
 
     for r in roots:
-        if not poly.eval_scalar(r).is_zero():
+        if not _divide(poly, r)[1].is_zero():
             raise AssertionError(f"root candidate {r} fails to annihilate {poly}")
     return sorted(roots, key=str)
 
 
-def _trial_root(poly: UnivariatePoly) -> Optional[Scalar]:
-    # candidates: unit * monomial divisor of the (nonzero) constant term
+def _trial_root(poly: UnivariatePoly) -> Optional[Tuple[Scalar, UnivariatePoly]]:
+    # candidates: unit * monomial divisor of the (nonzero) constant term;
+    # the first root is returned with the quotient of poly by t - root
     table = poly.table
     c0 = poly.coeffs[0]
     emin = [min(col) for col in zip(*map(table._unpack, c0.num))]
@@ -107,19 +110,20 @@ def _trial_root(poly: UnivariatePoly) -> Optional[Scalar]:
                 mono = mono * table.symbol(name) ** e
         for u in units:
             cand = u * mono
-            if poly.eval_scalar(cand).is_zero():
-                return cand
+            quo, rem = _divide(poly, cand)
+            if rem.is_zero():
+                return cand, UnivariatePoly(table, reversed(quo))
     return None
 
 
-def _deflate(poly: UnivariatePoly, root: Scalar) -> UnivariatePoly:
-    """The quotient of poly by t - root, by synthetic division."""
-    coeffs = poly.coeffs
-    quo = [coeffs[-1]]
-    for c in reversed(coeffs[1:-1]):
+def _divide(poly: UnivariatePoly, root: Scalar) -> Tuple[List[Scalar], Scalar]:
+    """The quotient of poly by t - root, its coefficients in descending
+    degree, and the remainder poly(root), by synthetic division."""
+    quo = [poly.coeffs[-1]]
+    for c in reversed(poly.coeffs[:-1]):
         quo.append(c + quo[-1] * root)
-    assert (coeffs[0] + quo[-1] * root).is_zero()
-    return UnivariatePoly(poly.table, reversed(quo))
+    rem = quo.pop()
+    return quo, rem
 
 
 def _recompose(a: SquareMatrix, pairs: Sequence[Tuple[Scalar, SquareMatrix]]) -> SquareMatrix:

@@ -1,5 +1,9 @@
 """The package's public surface, one name a line, so any change to it shows in a diff."""
 
+import inspect
+import re
+from pathlib import Path
+
 import braidbax
 
 PUBLIC_NAMES = [
@@ -49,7 +53,6 @@ PUBLIC_NAMES = [
     "pybe_coefficient_formulas",
     "reduction_identity_residuals",
     "reparametrize_check",
-    "rref",
     "run_all",
     "s03_constant_projectors",
     "s03_plane",
@@ -70,3 +73,20 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert sorted(braidbax.__all__) == PUBLIC_NAMES
     assert all(hasattr(braidbax, name) for name in PUBLIC_NAMES)
+
+
+def test_every_public_function_is_named_by_another_module():
+    # a public function only tests call is surface without a user;
+    # classes and exceptions are exempt, and __init__ only re-exports
+    sources = {path.stem: path.read_text()
+               for path in Path(braidbax.__file__).parent.glob("*.py")}
+    unused = []
+    for name in braidbax.__all__:
+        obj = getattr(braidbax, name)
+        if inspect.isclass(obj):
+            continue
+        home = obj.__module__.rsplit(".", 1)[-1]
+        if not any(re.search(rf"\b{name}\b", text)
+                   for stem, text in sources.items() if stem not in (home, "__init__")):
+            unused.append(name)
+    assert unused == []
