@@ -21,6 +21,7 @@ from braidbax import (
 )
 from braidbax.linalg import _row_space
 from braidbax.scalar import Scalar, _dot
+from braidbax.spectral import _divide
 
 from conftest import TABLE, matrices, nonzero_scalars, to_sympy
 
@@ -274,6 +275,17 @@ def test_univariate_poly_basics():
     q = TABLE.symbol("x")
     cubic = UnivariatePoly(TABLE, [q * q, -(q * q), -TABLE.one(), TABLE.one()])
     assert str(cubic) == "t^3 - t^2 - x^2*t + x^2"
+
+
+def test_univariate_poly_eval():
+    # the remainder of synthetic division by t - r is the value at r:
+    # 1 + i is a root of t^2 - 2t + 2, and the quotient is t - (1 - i)
+    p = UnivariatePoly(TABLE, [2, -2, 1])
+    quo, rem = _divide(p, 1 + TABLE.i())
+    assert rem.is_zero()
+    assert quo == [TABLE.one(), TABLE.i() - 1]
+    _, rem = _divide(p, TABLE.scalar(3))
+    assert rem == TABLE.scalar(5)
 
 
 def test_minimal_polynomial_cases():
