@@ -15,16 +15,11 @@ left.  The name 'i' always denotes the imaginary unit; any other name
 must be declared by the symbol table.  Everything str(Scalar) emits
 parses back to an identical stored value.
 
-Values are assembled, not canonicalised token by token.  Every atom is
-read as a scalar._Laurent value, a numerator over d*x^b not yet
-canonicalised.  Sums over one monomial x^b, products, quotients by one
-term and non-negative powers of a unit times a monomial over one stay
-Laurent values, canonicalised once, at the end.  A value whose
-denominator is one term has exactly one canonical form (see the scalar
-module), so this stores what step-by-step arithmetic stores.  Anything
-else is Scalar arithmetic on canonical operands, in reading order, and
-the subexpression stays there: _apply is the one switch, where a
-Laurent operand that meets a Scalar is made canonical.
+Values are Scalars from the first token: every atom is a canonical
+Scalar and every operator one Scalar operation, in reading order.  A
+one-term power takes the scalar layer's direct route (_term_power), and
+a quotient by one term its one-step canonicalisation
+(_canonical_over_term).
 
 Parentheses and unary minus nest at most MAX_DEPTH deep, which keeps
 the recursion far inside the interpreter's limit and far above the few
@@ -59,9 +54,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from operator import add, mul, sub, truediv
 
-from .scalar import Scalar, SymbolTable, _Laurent
+from .scalar import Scalar, SymbolTable
 
 __all__ = ["ParseError", "parse"]
 
@@ -141,39 +135,30 @@ def parse(text: str, table: SymbolTable) -> Scalar:
     kind, _, pos = cur.current()
     if kind != "end":
         raise ParseError("unexpected trailing input", pos)
-    return _scalar(value)
+    return value
 
 
-def _scalar(value) -> Scalar:
-    return value.scalar() if type(value) is _Laurent else value
-
-
-def _apply(op, lhs, rhs):
-    """op(lhs, rhs): Laurent arithmetic when both are Laurent values, else Scalar arithmetic."""
-    if type(lhs) is not _Laurent or type(rhs) is not _Laurent:
-        lhs, rhs = _scalar(lhs), _scalar(rhs)
-    return op(lhs, rhs)
-
-
-def _expr(cur: _Cursor, table: SymbolTable):
+def _expr(cur: _Cursor, table: SymbolTable) -> Scalar:
     value = _term(cur, table)
     while True:
         op = cur.take_op("+", "-")
         if not op:
             return value
-        value = _apply(add if op == "+" else sub, value, _term(cur, table))
+        rhs = _term(cur, table)
+        value = value + rhs if op == "+" else value - rhs
 
 
-def _term(cur: _Cursor, table: SymbolTable):
+def _term(cur: _Cursor, table: SymbolTable) -> Scalar:
     value = _unary(cur, table)
     while True:
         op = cur.take_op("*", "/")
         if not op:
             return value
-        value = _apply(mul if op == "*" else truediv, value, _unary(cur, table))
+        rhs = _unary(cur, table)
+        value = value * rhs if op == "*" else value / rhs
 
 
-def _unary(cur: _Cursor, table: SymbolTable):
+def _unary(cur: _Cursor, table: SymbolTable) -> Scalar:
     if not cur.take_op("-"):
         return _power(cur, table)
     cur.descend(cur.toks[cur.k - 1][2])
@@ -182,15 +167,11 @@ def _unary(cur: _Cursor, table: SymbolTable):
     return value
 
 
-def _power(cur: _Cursor, table: SymbolTable):
+def _power(cur: _Cursor, table: SymbolTable) -> Scalar:
     value = _atom(cur, table)
     while cur.take_op("^"):
         pos = cur.current()[2]
         e = _exponent(cur)
-        if type(value) is _Laurent and e >= 0 and value.is_unit_term():
-            value = value.unit_power(e)  # a unit times a monomial never grows
-            continue
-        value = _scalar(value)
         if len(value.num) > 1 or len(value.den) > 1:
             degree = abs(e) * max(sum(table._unpack(x)) for x in (*value.num, *value.den))
             if degree > MAX_EXPONENT:
@@ -251,17 +232,14 @@ def _int_literal(text: str, pos: int) -> int:
     return int(text)
 
 
-def _atom(cur: _Cursor, table: SymbolTable):
+def _atom(cur: _Cursor, table: SymbolTable) -> Scalar:
     kind, text, pos = cur.current()
     if kind == "int":
         cur.advance()
-        n = _int_literal(text, pos)
-        return _Laurent(table, {0: (n, 0)} if n else {})
+        return table.scalar(_int_literal(text, pos))
     if kind == "name":
         cur.advance()
-        if text == "i":
-            return _Laurent(table, {0: (0, 1)})
-        return _Laurent(table, {1 << table._shifts[table.index(text)]: (1, 0)})
+        return table.i() if text == "i" else table.symbol(text)
     if kind == "op" and text == "(":
         cur.advance()
         cur.descend(pos)

@@ -53,16 +53,15 @@ monomial as the one clearing L's negative exponents, content one fixes
 its coefficient up to a unit as the generator of the ideal of Gaussian
 integers clearing L's coefficients, and the positive-int or quadrant
 rule fixes the unit.  Hence any route to such a value stores the same
-dicts, and the direct routes here are byte-identical to step-by-step
-arithmetic: any numerator over a one-term denominator is canonicalised
-in one step (_canonical_over_term: the shift touches only the fields
-the denominator holds, and no constant-multiple test or gcd applies), a
-one-term value is powered by scaling its exponents, a matrix entry
-whose factors all have one-term denominators is summed over one common
-denominator and canonicalised once (_dot), and the parser assembles a
-value over one-term denominators (_Laurent, which combines only with
-itself) before it canonicalises it once.  _canonical stays the general
-route, the reference for the direct ones.
+dicts, and the three direct routes here are byte-identical to
+step-by-step arithmetic: any numerator over a one-term denominator is
+canonicalised in one step (_canonical_over_term: the shift touches only
+the fields the denominator holds, and no constant-multiple test or gcd
+applies), a one-term value is powered by scaling its exponents
+(_term_power), and a matrix entry whose factors all have one-term
+denominators is summed over one common denominator and canonicalised
+once (_dot).  _canonical stays the general route, the reference for
+the direct ones.
 
 The univariate gcd stays in Z[i][t]: a primitive remainder sequence
 (Collins 1967, Brown 1971) takes each pseudo-remainder's primitive part,
@@ -103,7 +102,6 @@ MAX_SYMBOLS = 100  # the most names one table holds: its field masks take 4*n^2 
 MAX_GCD_DEGREE = 10000  # the highest degree a one-symbol gcd starts from
 _FIELD_BITS = 64
 _FIELD_MASK = (1 << _FIELD_BITS) - 1
-_UNITS = frozenset({(1, 0), (-1, 0), (0, 1), (0, -1)})
 
 
 class UnknownSymbol(Exception):
@@ -722,74 +720,6 @@ def _dot(table: SymbolTable, pairs) -> Scalar:
         shift = top - m  # no field borrows: top is m's fieldwise maximum
         _pmul({e + shift: _gmul(c, h) for e, c in anum.items()}, bnum, num)
     return Scalar(table, num, {top: (lcm, 0)})
-
-
-class _Laurent:
-    """num/(d*x^b) for a positive int d: a value the parser builds before
-    it is canonicalised.
-
-    A closed type: it combines only with another _Laurent.  Sums over one
-    monomial x^b, products and quotients by one term stay Laurent values,
-    and so do non-negative powers of a unit times a monomial over one,
-    which never grow; a sum over two monomials or a quotient by a sum is
-    the Scalar result of both canonical operands.  Each result passes
-    the exponent bound as its stored form would: when its raw keys pass
-    it, the shifted ones do, and otherwise the value is shifted to its
-    stored keys and checked, so a raw field stays below 2^41.
-    """
-
-    __slots__ = ("table", "num", "b", "d")
-
-    def __init__(self, table: SymbolTable, num: dict, b: int = 0, d: int = 1):
-        if reduce(or_, num, b) & table._guard:
-            lo = _fields(table._masks, [*num, b], min)
-            num = {e - lo: c for e, c in num.items()}
-            b -= lo
-            table._check(reduce(or_, num, b))
-        self.table, self.num, self.b, self.d = table, num, b, d
-
-    def scalar(self) -> Scalar:
-        return Scalar(self.table, self.num, {self.b: (self.d, 0)})
-
-    def is_unit_term(self) -> bool:
-        """A unit times a monomial over one: stored as it stands, and powered by _term_power."""
-        return (not self.b and self.d == 1 and len(self.num) == 1
-                and next(iter(self.num.values())) in _UNITS)
-
-    def unit_power(self, e: int) -> "_Laurent":
-        """A unit term to the power e >= 0."""
-        return _Laurent(self.table, _term_power(self.table, self.num, {0: (1, 0)}, e)[0])
-
-    def __neg__(self):
-        return _Laurent(self.table, _pneg(self.num), self.b, self.d)
-
-    def __add__(self, o):
-        if self.b != o.b:
-            return self.scalar() + o.scalar()
-        pa, pb, d = self.num, o.num, self.d
-        if d != o.d:
-            d = math.lcm(d, o.d)
-            sa, sb = d // self.d, d // o.d
-            pa = {e: (r * sa, i * sa) for e, (r, i) in pa.items()} if sa != 1 else pa
-            pb = {e: (r * sb, i * sb) for e, (r, i) in pb.items()} if sb != 1 else pb
-        return _Laurent(self.table, _padd(pa, pb), self.b, d)
-
-    def __sub__(self, o):
-        return self + -o
-
-    def __mul__(self, o):
-        pa, pb = (self.num, o.num) if len(self.num) >= len(o.num) else (o.num, self.num)
-        return _Laurent(self.table, _pmul(pa, pb), self.b + o.b, self.d * o.d)
-
-    def __truediv__(self, o):
-        if len(o.num) != 1:
-            # a quotient by a sum or by zero
-            return self.scalar() / o.scalar()
-        # times d*x^b*conj(c) / (|c|^2*x^k), for o = c*x^k / (d*x^b)
-        (k, (cr, ci)), = o.num.items()
-        h = (cr * o.d, -ci * o.d)
-        num = {e + o.b: _gmul(c, h) for e, c in self.num.items()}
-        return _Laurent(self.table, num, self.b + k, self.d * (cr * cr + ci * ci))
 
 
 def sqrt_scalar(value: Scalar) -> Optional[Scalar]:

@@ -1,8 +1,10 @@
-"""The term-assembling parser against step-by-step Scalar arithmetic.
+"""The parser against step-by-step Scalar arithmetic.
 
-reference_parse is the parser as it stood before it assembled Laurent
-values: every token becomes a canonical Scalar and every operator one
-Scalar operation, in reading order.  It shares the tokenizer, the
+reference_parse is a pinned copy of the parser's reading rule: every
+token becomes a canonical Scalar and every operator one Scalar
+operation, in reading order.  parse now reads the same way, step for
+step; only its message for a power-of-a-sum degree past thirty digits
+(a digit count) differs.  reference_parse shares the tokenizer, the
 cursor and the exponent reader.  parse must store the same dicts, or
 raise the same exception with the same message.
 """
@@ -178,6 +180,9 @@ def test_parse_routes_agree_on_chosen_texts():
         "(x + 1)^2*y + 1/x", "(i*x)^-3*y", "(x/y)^3", "(x^2/x)^3",
         f"1/(x + 1)*x^{_TOP}*x", f"x^{_TOP}*x/(x + 1)", f"x^{_TOP}/(x + 1)*x",
         f"1/(x + 1) + x^{_TOP}*x", f"(x + 1)^-1*x^-{_TOP}*x^-1", f"x^{_HALF} + 1/(x + 1)",
+        # powers of a unit times a monomial, at and past the exponent bound
+        "i^99999", "(-i)^99999999999", "(i*x)^-99999", "(-i*x*y)^1000000",
+        f"(x*y)^{_TOP}", f"(i*x)^{_TOP + 1}", "(-1)^99999999999",
     ):
         assert _outcome(parse, text, table) == _outcome(reference_parse, text, table), text
 
